@@ -36,10 +36,10 @@ pub enum Rule {
     /// Root annotation cross-check: the rewriter's recorded root tags
     /// disagree with the independently derived root tags.
     V008,
-    /// The columnar aggregate fast path (`FastPlan` in `ops_agg.rs`) must
-    /// never be eligible when any aggregate argument is uncertain: the
-    /// fast fold bypasses lineage-ref emission, so an uncertain argument
-    /// folded fast would silently drop §6.1 lineage.
+    /// The aggregate fold fragment (`FoldFragment` in `core::shard`) must
+    /// never be compiled when any aggregate argument is uncertain: the
+    /// fragment interpreter bypasses lineage-ref emission, so an uncertain
+    /// argument folded through it would silently drop §6.1 lineage.
     V009,
     /// Recovery-closure survival (§5.1): along every root→streamed-scan
     /// spine, each operator whose state must survive replay registers

@@ -10,7 +10,7 @@
 //!    lineage refs on uncertain aggregate outputs (§6.1), no strict
 //!    consumers of folded-lineage thunks, deterministic join/group keys
 //!    (§3.3), stream-scaling factors (§2), checkpoint-state registration
-//!    (§4.2/§5.1), columnar fast-path eligibility, and recovery-spine
+//!    (§4.2/§5.1), fold-fragment eligibility, and recovery-spine
 //!    closure. Rules `V001`–`V010`.
 //! 2. **Source lints** (`lint_tree` / the `srclint` binary): token-stream
 //!    checks over `crates/**/*.rs` built on a hand-rolled lexer

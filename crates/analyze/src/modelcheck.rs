@@ -45,8 +45,8 @@
 //! the root annotation) — each applicable probe must make the verifier
 //! report *something*, or the cell is a `missed_mutation` (the verifier has
 //! a blind spot the probe just exhibited). V010 is exercised by the
-//! spine-select probe; V009's seam (a fast plan coexisting with uncertain
-//! arguments) is unreachable through `AggregateOp::new` by construction and
+//! spine-select probe; V009's seam (a fold fragment coexisting with
+//! uncertain arguments) is unreachable through `AggregateOp::new` by construction and
 //! is covered by a dedicated mutation test instead.
 
 use crate::diag::json_escape;

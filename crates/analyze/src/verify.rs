@@ -25,10 +25,10 @@
 //!   checkpoint state, and §4.2-stateless operators register none.
 //! * **V008** — the rewriter's recorded root annotation agrees with the
 //!   derived root tags.
-//! * **V009** — the columnar aggregate fast path is never eligible for
-//!   uncertain-arg aggregates: a compiled `FastPlan` together with any
-//!   configured-or-derived uncertain argument would fold fast and bypass
-//!   §6.1 lineage-ref emission.
+//! * **V009** — the aggregate fold fragment is never compiled for
+//!   uncertain-arg aggregates: a `FoldFragment` together with any
+//!   configured-or-derived uncertain argument would fold through the
+//!   fragment interpreter and bypass §6.1 lineage-ref emission.
 //! * **V010** — recovery-spine closure (§5.1): along every root→streamed-
 //!   scan spine, each operator whose state must survive replay registers
 //!   checkpoint state and the streamed scan checkpoints its cursor, so a
@@ -415,10 +415,10 @@ fn check(op: &OnlineOp, path: &str, diags: &mut Vec<Diagnostic>) -> Tags {
                     ),
                 });
             }
-            // V009: a compiled columnar fast plan must never coexist with an
+            // V009: a compiled fold fragment must never coexist with an
             // uncertain aggregate argument (configured or derived) — the
-            // fast fold bypasses lineage-ref emission (§6.1).
-            if a.has_fast_plan() {
+            // fragment interpreter bypasses lineage-ref emission (§6.1).
+            if a.has_fragment() {
                 for (c, call) in a.aggs.iter().enumerate() {
                     let configured = a.arg_uncertain.get(c).copied().unwrap_or(false);
                     let derived = expr_uncertain(&call.input, &input.attr_uncertain);
@@ -428,8 +428,8 @@ fn check(op: &OnlineOp, path: &str, diags: &mut Vec<Diagnostic>) -> Tags {
                             path: path.to_string(),
                             column: Some(a.group_cols.len() + c),
                             message: format!(
-                                "columnar fast path is eligible but aggregate argument \
-                                 {c} is uncertain ({}) — the fast fold would bypass \
+                                "fold fragment is compiled but aggregate argument \
+                                 {c} is uncertain ({}) — the fragment fold would bypass \
                                  lineage-ref emission (§6.1)",
                                 if configured && derived {
                                     "configured and derived"

@@ -12,7 +12,7 @@
 //! * V005 — a nondeterministic UDF smuggled into a join key.
 //! * V006 — stream-scaling flags out of sync (aggregate and sink halves).
 //! * V008 — stale root annotation.
-//! * V009 — columnar fast plan compiled before uncertainty was derived.
+//! * V009 — fold fragment compiled before uncertainty was derived.
 //! * V010 — checkpointed state dropped on the streamed spine (with an
 //!   off-spine negative control pinning the rule's path sensitivity).
 //! * L008/L009 — lint-side mutations over virtual source fixtures: a panic
@@ -125,9 +125,9 @@ fn v002_stale_arg_uncertainty_flag() {
         }
         _ => false,
     });
-    // C3's aggregate folds via the columnar fast path, so marking its
-    // argument uncertain is both a stale flag (V002) and a fast-path
-    // eligibility violation (V009).
+    // C3's aggregate folds through its fragment, so marking its argument
+    // uncertain is both a stale flag (V002) and a fragment eligibility
+    // violation (V009).
     let diags = verify(&oq);
     assert_eq!(rule_ids(&oq), ["V002", "V009"], "{diags:?}");
     assert!(diags.iter().all(|d| d.column == col), "{diags:?}");
@@ -299,12 +299,12 @@ fn model_rewritten(term: &Term) -> OnlineQuery {
 }
 
 #[test]
-fn v009_fast_plan_with_uncertain_argument() {
+fn v009_fragment_with_uncertain_argument() {
     // AVG over a SUM output: the outer aggregate's argument column is
     // genuinely uncertain, so `AggregateOp::new` refuses to compile the
-    // columnar fast plan. The mutation models a rewriter that compiled the
-    // fast plan *before* deriving uncertainty: rebuild the operator with
-    // all-certain flags (fast plan compiles) and then restore the true
+    // fold fragment. The mutation models a rewriter that compiled the
+    // fragment *before* deriving uncertainty: rebuild the operator with
+    // all-certain flags (the fragment compiles) and then restore the true
     // flags on the public field.
     let term = Term::Unary(
         UnaryKind::AggAvgByK,

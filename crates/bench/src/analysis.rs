@@ -1,8 +1,7 @@
 //! `experiments analyze`: one entry point that runs the whole static-
 //! analysis engine — the token-based source lints (with allowlist
 //! subtraction and the L010 staleness gate) and the exhaustive plan-space
-//! model checker — and returns a machine-readable record for the console
-//! report and the `"analysis"` section of the `--json` document.
+//! model checker — and returns its outcome for the console report.
 
 use iolap_analyze::modelcheck::{self, ModelCheckReport};
 use iolap_analyze::{Allowlist, LintFinding};
@@ -10,10 +9,6 @@ use std::time::Instant;
 
 /// Outcome of one `experiments analyze` run.
 pub struct AnalysisRecord {
-    /// Whether the model checker ran at smoke depth
-    /// ([`modelcheck::SMOKE_DEPTH`]) or full depth
-    /// ([`modelcheck::FULL_DEPTH`]).
-    pub smoke: bool,
     /// Lint findings that survive the allowlist, plus any L010 staleness
     /// findings for allowlist entries that no longer match anything.
     /// Deterministically ordered (file, line, rule).
@@ -57,7 +52,6 @@ pub fn run_analysis(smoke: bool) -> std::io::Result<AnalysisRecord> {
     };
     let model = modelcheck::run(depth);
     Ok(AnalysisRecord {
-        smoke,
         lint_violations,
         lint_allowlisted,
         model,

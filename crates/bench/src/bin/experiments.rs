@@ -4,7 +4,6 @@
 //! cargo run --release -p iolap-bench --bin experiments -- all
 //! cargo run --release -p iolap-bench --bin experiments -- fig7a fig8 fig9d
 //! IOLAP_SCALE=0.5 cargo run --release -p iolap-bench --bin experiments -- fig10
-//! cargo run --release -p iolap-bench --bin experiments -- all --json BENCH_PR1.json
 //! IOLAP_SCALE=bench cargo run --release -p iolap-bench --bin experiments -- verify-plans
 //! IOLAP_SCALE=bench cargo run --release -p iolap-bench --bin experiments -- faultstorm --smoke
 //! IOLAP_SCALE=bench cargo run --release -p iolap-bench --bin experiments -- serve --smoke
@@ -88,9 +87,9 @@
 //! byte-checks the normalized Chrome export against
 //! `scripts/trace-schema.golden` (regenerate: `IOLAP_UPDATE_GOLDEN=1`).
 //!
-//! `--json <path>` additionally writes a machine-readable record of every
-//! workload query — per-batch timings, driver stats, and the per-operator
-//! metrics breakdown — after the selected experiments finish.
+//! The repository's performance record is the `perfbench` package and
+//! `BENCHMARK.json`, not this harness: every sweep here prints its table and
+//! sets the exit status from its checks.
 //!
 //! Absolute numbers differ from the paper (its substrate was a 20-node
 //! Spark/EC2 cluster over 1–2 TB; ours is a single-process engine over
@@ -103,7 +102,6 @@ use iolap_relation::BatchedRelation;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path: Option<String> = None;
     let mut smoke = false;
     let mut listen: Option<String> = None;
     let mut trace_query: Option<String> = None;
@@ -111,16 +109,7 @@ fn main() {
     let mut i = 0;
     while i < raw.len() {
         let a = raw[i].as_str();
-        if a == "--json" {
-            i += 1;
-            match raw.get(i) {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--smoke" {
+        if a == "--smoke" {
             smoke = true;
         } else if a == "--listen" {
             i += 1;
@@ -158,20 +147,11 @@ fn main() {
     println!("iOLAP experiment harness (scale: {scale:?})");
     let mut unknown = false;
     let mut violations = 0usize;
-    let mut storm: Option<Vec<FaultStormRun>> = None;
-    let mut serving: Option<serve::ServingRecord> = None;
-    let mut analysis: Option<AnalysisRecord> = None;
-    let mut sharding: Option<ShardingRecord> = None;
-    let mut telemetry: Option<TelemetryRecord> = None;
-    let mut durability: Option<DurabilityRecord> = None;
     for exp in which {
         match exp {
             "verify-plans" => violations += verify_plans(&scale),
             "analyze" => match analyze_cmd(smoke) {
-                Ok(rec) => {
-                    violations += rec.violations();
-                    analysis = Some(rec);
-                }
+                Ok(rec) => violations += rec.violations(),
                 Err(e) => {
                     eprintln!("analyze: {e}");
                     std::process::exit(2);
@@ -188,42 +168,30 @@ fn main() {
                         "serve: multi-tenant serving sweep ({})",
                         if smoke { "smoke" } else { "full" }
                     ));
-                    let (record, v) = serve::serve_sweep(&scale, smoke);
-                    violations += v;
-                    serving = Some(record);
+                    violations += serve::serve_sweep(&scale, smoke);
                 }
             }
-            "faultstorm" => {
-                let runs = faultstorm(&scale, smoke);
-                violations += runs.iter().filter(|r| !r.agree).count();
-                storm = Some(runs);
-            }
+            "faultstorm" => violations += faultstorm(&scale, smoke),
             "shard" => {
                 section(&format!(
                     "shard: scale-out determinism sweep ({})",
                     if smoke { "smoke" } else { "full" }
                 ));
-                let (record, v) = shard_sweep(&scale, smoke);
-                violations += v;
-                sharding = Some(record);
+                violations += shard_sweep(&scale, smoke);
             }
             "observe" => {
                 section(&format!(
                     "observe: telemetry-plane sweep ({})",
                     if smoke { "smoke" } else { "full" }
                 ));
-                let (record, v) = observe_sweep(&scale, smoke);
-                violations += v;
-                telemetry = Some(record);
+                violations += observe_sweep(&scale, smoke);
             }
             "durability" => {
                 section(&format!(
                     "durability: crash-matrix / streaming-append sweep ({})",
                     if smoke { "smoke" } else { "full" }
                 ));
-                let (record, v) = durability_sweep(&scale, smoke);
-                violations += v;
-                durability = Some(record);
+                violations += durability_sweep(&scale, smoke);
             }
             "trace" => violations += trace_cmd(&scale, trace_query.as_deref(), smoke),
             "kernels" => violations += kernels_cmd(&scale, smoke),
@@ -256,39 +224,13 @@ fn main() {
         eprintln!("verification: {violations} violation(s)");
         std::process::exit(1);
     }
-
-    if let Some(path) = json_path {
-        section(&format!("benchmark record → {path}"));
-        let workloads = [tpch_workload(&scale), conviva_workload(&scale)];
-        // The "faults" section reuses this invocation's storm when one ran,
-        // else records a fresh smoke storm so the record is self-contained.
-        let storm = storm.unwrap_or_else(|| fault_storm(&scale, true));
-        match json::write_bench_json(
-            &path,
-            &scale,
-            &workloads,
-            &storm,
-            serving.as_ref(),
-            analysis.as_ref(),
-            sharding.as_ref(),
-            telemetry.as_ref(),
-            durability.as_ref(),
-        ) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// `faultstorm`: deterministic §5.1 fault-injection sweep (see
 /// `iolap_bench::fault_storm`). Prints one line per run plus a per-kind
-/// summary; returns the sweep's runs for the `--json` record. Any run
-/// whose final answer disagrees with the exact offline baseline counts as
-/// a violation and fails the harness.
-fn faultstorm(scale: &ExpScale, smoke: bool) -> Vec<FaultStormRun> {
+/// summary; returns the number of runs whose final answer disagrees with
+/// the exact offline baseline (each a violation that fails the harness).
+fn faultstorm(scale: &ExpScale, smoke: bool) -> usize {
     section(&format!(
         "faultstorm: §5.1 fault-injection sweep ({})",
         if smoke { "smoke" } else { "full" }
@@ -327,7 +269,7 @@ fn faultstorm(scale: &ExpScale, smoke: bool) -> Vec<FaultStormRun> {
         Some(dump) => println!("\nrepresentative flight-recorder dump:\n{dump}"),
         None => println!("\n(no flight-recorder dump captured — no fault fired)"),
     }
-    runs
+    runs.iter().filter(|r| !r.agree).count()
 }
 
 /// `trace <query>`: run one query with the full event journal armed and
@@ -950,7 +892,8 @@ fn trials_sweep(scale: &ExpScale) {
 /// representative nested query per workload, summed over all batches —
 /// where each query's time and traffic actually go. Runs with the journal
 /// armed so the rollup line reports *exclusive* span self-time from the
-/// trace tree (the deprecated `total_span_ns` double-counted nested spans).
+/// trace tree (a sum over the inclusive `_ns` metrics would double-count
+/// nested spans).
 fn metrics_breakdown(scale: &ExpScale) {
     for (w, id) in [
         (tpch_workload(scale), "Q11"),

@@ -22,9 +22,6 @@
 //!   single-run smoke-scale timing would make a hard gate flaky. The
 //!   correctness claims above *are* asserted: any non-identical matrix
 //!   cell, inexact append cell, or stale digest is a violation.
-//!
-//! The record lands in the BENCH JSON's `"durability"` section (schema
-//! v7).
 
 use crate::{conviva_workload, ExpScale};
 use iolap_server::tcp::{handle_request, SubmitFactory};
@@ -40,49 +37,31 @@ use std::time::{Duration, Instant};
 /// append shows up in the aggregates, not just the row counts.
 const APPEND_ROWS: &str = r#"[[990001,1,"cdn-append","SFO","US","isp-a","vod",12.5,3.5,1.25,2400,0],[990002,2,"cdn-append","LAX","US","isp-b","live",2.5,7.25,0.5,3200,1]]"#;
 
-/// The full `experiments durability` record (`"durability"` JSON section).
-#[derive(Clone, Debug)]
-pub struct DurabilityRecord {
-    /// Whether this was the pinned smoke configuration.
-    pub smoke: bool,
-    /// Query ids swept.
-    pub queries: Vec<&'static str>,
-    /// Mini-batches per session (the matrix has `batches - 1` kill cells
-    /// per query, plus the completed-session cell).
-    pub batches: usize,
+/// Tally of one `experiments durability` sweep.
+#[derive(Default)]
+struct DurabilityTally {
     /// Crash-point cells run (kill + restart + recover + resume).
-    pub matrix_cells: usize,
+    matrix_cells: usize,
     /// Cells whose resumed stream byte-matched the uninterrupted run.
-    pub matrix_identical: usize,
+    matrix_identical: usize,
     /// Streaming-append cells run.
-    pub append_cells: usize,
+    append_cells: usize,
     /// Append cells whose grown stream byte-matched the driver oracle.
-    pub append_exact: usize,
+    append_exact: usize,
     /// Batches re-run by recovery replay across all cells.
-    pub replayed_batches: usize,
-    /// Appends re-applied at their logged positions across all cells.
-    pub reapplied_appends: usize,
+    replayed_batches: usize,
     /// Checkpoint digests that failed verification during replay (any
     /// nonzero count is a violation: nothing in the sweep damages logs).
-    pub stale_digests: usize,
+    stale_digests: usize,
     /// Uninterrupted durable session wall-clock, fsync off (min of 3, ms).
-    pub fsync_off_ms: f64,
+    fsync_off_ms: f64,
     /// The same session with fsync on every frame (min of 3, ms).
-    pub fsync_on_ms: f64,
+    fsync_on_ms: f64,
 }
 
-impl DurabilityRecord {
-    /// fsync overhead in percent of the fsync-off wall-clock.
-    pub fn fsync_overhead_pct(&self) -> f64 {
-        if self.fsync_off_ms > 0.0 {
-            100.0 * (self.fsync_on_ms / self.fsync_off_ms - 1.0)
-        } else {
-            0.0
-        }
-    }
-
+impl DurabilityTally {
     /// Correctness violations (fsync overhead is recorded, not asserted).
-    pub fn violations(&self) -> usize {
+    fn violations(&self) -> usize {
         (self.matrix_cells - self.matrix_identical)
             + (self.append_cells - self.append_exact)
             + self.stale_digests
@@ -267,13 +246,13 @@ fn durable_run(
 }
 
 /// One crash cell: kill at boundary `m`, restart, recover, resume, drain.
-/// Returns `(identical, replayed, reapplied, stale)` against `baseline`.
+/// Returns `(identical, replayed, stale)` against `baseline`.
 fn crash_cell(
     f: &SubmitFactory,
     query: &str,
     m: usize,
     baseline: &[String],
-) -> (bool, usize, usize, usize) {
+) -> (bool, usize, usize) {
     let dir = scratch_dir(&format!("{query}-cell{m}"));
     let mut pre = Vec::new();
     {
@@ -317,7 +296,6 @@ fn crash_cell(
     (
         identical,
         recovered.replayed_batches,
-        recovered.reapplied_appends,
         recovered.stale_digests,
     )
 }
@@ -359,7 +337,7 @@ fn append_oracle(f: &SubmitFactory, query: &str) -> Vec<String> {
 /// Run the durability sweep; returns the record and its violation count.
 /// `smoke` pins the scale (independent of `IOLAP_SCALE`, like `observe
 /// --smoke`).
-pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> (DurabilityRecord, usize) {
+pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> usize {
     let scale = if smoke {
         ExpScale {
             tpch_sf: 0.1,
@@ -385,20 +363,7 @@ pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> (DurabilityRecord, usi
     };
     let f = make_factory(&scale);
 
-    let mut rec = DurabilityRecord {
-        smoke,
-        queries: queries.clone(),
-        batches: scale.batches,
-        matrix_cells: 0,
-        matrix_identical: 0,
-        append_cells: 0,
-        append_exact: 0,
-        replayed_batches: 0,
-        reapplied_appends: 0,
-        stale_digests: 0,
-        fsync_off_ms: 0.0,
-        fsync_on_ms: 0.0,
-    };
+    let mut rec = DurabilityTally::default();
 
     for query in &queries {
         let dir = scratch_dir(&format!("{query}-baseline"));
@@ -412,10 +377,9 @@ pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> (DurabilityRecord, usi
 
         let mut identical_cells = 0usize;
         for m in 1..scale.batches {
-            let (identical, replayed, reapplied, stale) = crash_cell(&f, query, m, &baseline);
+            let (identical, replayed, stale) = crash_cell(&f, query, m, &baseline);
             rec.matrix_cells += 1;
             rec.replayed_batches += replayed;
-            rec.reapplied_appends += reapplied;
             rec.stale_digests += stale;
             if identical {
                 rec.matrix_identical += 1;
@@ -476,7 +440,7 @@ pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> (DurabilityRecord, usi
         "durability: fsync off {:.1} ms / on {:.1} ms ({:+.1} % vs 25 % budget, recorded)",
         rec.fsync_off_ms,
         rec.fsync_on_ms,
-        rec.fsync_overhead_pct()
+        crate::overhead_pct(rec.fsync_off_ms, rec.fsync_on_ms)
     );
     println!(
         "durability: {} matrix cells ({} identical), {} append cells ({} exact), {} batches replayed, {} stale digests — {} violation(s)",
@@ -488,6 +452,5 @@ pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> (DurabilityRecord, usi
         rec.stale_digests,
         rec.violations()
     );
-    let violations = rec.violations();
-    (rec, violations)
+    rec.violations()
 }

@@ -11,15 +11,14 @@
 
 pub mod analysis;
 pub mod durability;
-pub mod json;
 pub mod observe;
 pub mod serve;
 pub mod shard;
 
 pub use analysis::{run_analysis, AnalysisRecord};
-pub use durability::{durability_sweep, DurabilityRecord};
-pub use observe::{observe_sweep, TelemetryRecord};
-pub use shard::{shard_sweep, ShardCell, ShardingRecord, TcpProbe};
+pub use durability::durability_sweep;
+pub use observe::observe_sweep;
+pub use shard::shard_sweep;
 
 // Workload constructors install the static plan verifier into the core
 // driver's debug hook, so every debug-build experiment re-verifies its
@@ -153,23 +152,6 @@ impl Workload {
             .unwrap_or_else(|e| panic!("{}: {e}", q.id))
     }
 
-    /// Run a query through iOLAP to completion, also returning the
-    /// driver's cumulative metrics (for the `--json` record).
-    pub fn run_iolap_with_metrics(
-        &self,
-        q: &QuerySpec,
-        config: IolapConfig,
-    ) -> (Vec<BatchReport>, Metrics) {
-        let pq = self.plan(q);
-        let mut d = IolapDriver::from_plan(&pq, &self.catalog, q.stream_table, config)
-            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let reports = d
-            .run_to_completion()
-            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let cumulative = d.metrics().clone();
-        (reports, cumulative)
-    }
-
     /// Run a query through iOLAP with the full event journal armed,
     /// returning the batch reports, the recorded trace, and the driver's
     /// cumulative metrics (histograms included) — the `experiments trace`
@@ -244,52 +226,19 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// Overhead of `on_ms` over `off_ms` in percent of `off_ms` (can be
+/// slightly negative under timer noise; 0 when `off_ms` is 0).
+pub fn overhead_pct(off_ms: f64, on_ms: f64) -> f64 {
+    if off_ms > 0.0 {
+        100.0 * (on_ms / off_ms - 1.0)
+    } else {
+        0.0
+    }
+}
+
 /// Print a header line for an experiment section.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Tracing cost on the Fig 9(a) optimization-breakdown sweep (Conviva C2):
-/// the same query run untraced and with the full journal armed.
-#[derive(Clone, Debug)]
-pub struct TraceOverhead {
-    /// Per batch: `(untraced ms, traced ms)`.
-    pub per_batch_ms: Vec<(f64, f64)>,
-    /// Total latency, tracing off.
-    pub total_off: Duration,
-    /// Total latency, journal armed.
-    pub total_on: Duration,
-    /// Journal events the traced run recorded.
-    pub events: usize,
-}
-
-impl TraceOverhead {
-    /// Tracing overhead in percent of the untraced total (can be slightly
-    /// negative under timer noise).
-    pub fn pct(&self) -> f64 {
-        100.0 * (ratio(self.total_on, self.total_off) - 1.0)
-    }
-}
-
-/// Measure tracing overhead on Conviva C2 (the Fig 9(a) query): one warm-up
-/// run, then an untraced and a journal-armed run back to back. The `--json`
-/// record embeds the result against the < 5 % overhead budget.
-pub fn measure_trace_overhead(scale: &ExpScale) -> TraceOverhead {
-    let w = conviva_workload(scale);
-    let q = w.queries.iter().find(|q| q.id == "C2").unwrap().clone();
-    let _warm = w.run_iolap(&q, scale.config());
-    let off = w.run_iolap(&q, scale.config());
-    let (on, events, _) = w.run_iolap_traced(&q, scale.config());
-    TraceOverhead {
-        per_batch_ms: off
-            .iter()
-            .zip(on.iter())
-            .map(|(a, b)| (a.elapsed.as_secs_f64() * 1e3, b.elapsed.as_secs_f64() * 1e3))
-            .collect(),
-        total_off: total_latency(&off),
-        total_on: total_latency(&on),
-        events: events.len(),
-    }
 }
 
 /// One fault-storm cell: a single driver run under one injected fault.

@@ -26,9 +26,8 @@
 //!   (`IOLAP_UPDATE_GOLDEN=1` regenerates after an audited change).
 //!
 //! Determinism and golden failures are violations and fail the harness;
-//! overhead is recorded, not asserted (single-run timing noise at smoke
-//! scale would make a hard gate flaky). The record lands in the BENCH
-//! JSON's `"telemetry"` section (schema v6).
+//! overhead is printed, not asserted (single-run timing noise at smoke
+//! scale would make a hard gate flaky).
 
 use crate::{conviva_workload, ExpScale, Workload};
 use iolap_core::{canonical_events, export_jsonl, IolapDriver, ShardExec, TraceMode};
@@ -39,60 +38,6 @@ use std::time::{Duration, Instant};
 
 /// Shard counts the cross-shard trace-identity check sweeps.
 pub const OBSERVE_SHARD_COUNTS: &[usize] = &[0, 1, 2, 4];
-
-/// The full `experiments observe` record (`"telemetry"` JSON section).
-#[derive(Clone, Debug)]
-pub struct TelemetryRecord {
-    /// Whether this was the pinned smoke configuration.
-    pub smoke: bool,
-    /// Sessions in the pinned fleet.
-    pub sessions: usize,
-    /// Scheduler journal events one fleet run recorded.
-    pub trace_events: usize,
-    /// Bytes of the canonical exposition.
-    pub exposition_bytes: usize,
-    /// Two fresh fleet runs rendered byte-identical canonical expositions.
-    pub exposition_deterministic: bool,
-    /// The same runs' canonical scheduler traces byte-compared.
-    pub trace_deterministic: bool,
-    /// Driver-level canonical trace exports byte-identical across
-    /// [`OBSERVE_SHARD_COUNTS`].
-    pub cross_shard_trace_identical: bool,
-    /// Canonical exposition matched `scripts/observe-exposition.golden`
-    /// (trivially true outside `--smoke`).
-    pub golden_ok: bool,
-    /// Stop-policy burn counters after one fleet run.
-    pub slo: SloCounters,
-    /// Fleet wall-clock with the journal off (min of three runs, ms).
-    pub overhead_off_ms: f64,
-    /// Fleet wall-clock with the journal armed (min of three runs, ms).
-    pub overhead_on_ms: f64,
-}
-
-impl TelemetryRecord {
-    /// Telemetry overhead in percent of the untraced fleet wall-clock
-    /// (can be slightly negative under timer noise).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.overhead_off_ms > 0.0 {
-            100.0 * (self.overhead_on_ms / self.overhead_off_ms - 1.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Determinism/golden violations (overhead is recorded, not asserted).
-    pub fn violations(&self) -> usize {
-        [
-            self.exposition_deterministic,
-            self.trace_deterministic,
-            self.cross_shard_trace_identical,
-            self.golden_ok,
-        ]
-        .iter()
-        .filter(|ok| !**ok)
-        .count()
-    }
-}
 
 /// The pinned fleet: two tenants plus a hostile label that must survive
 /// both JSON and Prometheus escaping, and one session per stop-policy
@@ -203,7 +148,7 @@ fn traced_export(w: &Workload, scale: &ExpScale, shards: usize) -> String {
 /// Run the telemetry-plane sweep; returns the record and its violation
 /// count. `smoke` pins the scale (independent of `IOLAP_SCALE`, like
 /// `trace --smoke`) and arms the exposition golden check.
-pub fn observe_sweep(scale: &ExpScale, smoke: bool) -> (TelemetryRecord, usize) {
+pub fn observe_sweep(scale: &ExpScale, smoke: bool) -> usize {
     let scale = if smoke {
         ExpScale {
             tpch_sf: 0.1,
@@ -279,36 +224,31 @@ pub fn observe_sweep(scale: &ExpScale, smoke: bool) -> (TelemetryRecord, usize) 
         true
     };
 
-    let record = TelemetryRecord {
-        smoke,
-        sessions: a.sessions,
-        trace_events: a.events,
-        exposition_bytes: a.exposition.len(),
+    println!(
+        "observe: overhead off/on = {:.1}/{:.1} ms ({:+.1}%, budget 5%); slo ci {}/{} met, \
+         deadline {}/{} met, {} ci batches saved",
+        overhead_off_ms,
+        overhead_on_ms,
+        crate::overhead_pct(overhead_off_ms, overhead_on_ms),
+        a.slo.ci_met,
+        a.slo.ci_sessions,
+        a.slo.deadline_met,
+        a.slo.deadline_sessions,
+        a.slo.ci_batches_saved,
+    );
+    let v = [
         exposition_deterministic,
         trace_deterministic,
         cross_shard_trace_identical,
         golden_ok,
-        slo: a.slo,
-        overhead_off_ms,
-        overhead_on_ms,
-    };
-    println!(
-        "observe: overhead off/on = {:.1}/{:.1} ms ({:+.1}%, budget 5%); slo ci {}/{} met, \
-         deadline {}/{} met, {} ci batches saved",
-        record.overhead_off_ms,
-        record.overhead_on_ms,
-        record.overhead_pct(),
-        record.slo.ci_met,
-        record.slo.ci_sessions,
-        record.slo.deadline_met,
-        record.slo.deadline_sessions,
-        record.slo.ci_batches_saved,
-    );
-    let v = record.violations();
+    ]
+    .iter()
+    .filter(|ok| !**ok)
+    .count();
     if v > 0 {
         eprintln!("observe: {v} determinism/golden violation(s)");
     }
-    (record, v)
+    v
 }
 
 /// Print the first line where two canonical exports differ — enough to
@@ -392,21 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn violations_count_failed_checks_only() {
-        let rec = TelemetryRecord {
-            smoke: true,
-            sessions: 4,
-            trace_events: 10,
-            exposition_bytes: 100,
-            exposition_deterministic: true,
-            trace_deterministic: false,
-            cross_shard_trace_identical: true,
-            golden_ok: false,
-            slo: SloCounters::default(),
-            overhead_off_ms: 10.0,
-            overhead_on_ms: 100.0, // over budget — recorded, never counted
-        };
-        assert_eq!(rec.violations(), 2);
-        assert!((rec.overhead_pct() - 900.0).abs() < 1e-9);
+    fn overhead_is_relative_to_the_untraced_time() {
+        assert!((crate::overhead_pct(10.0, 100.0) - 900.0).abs() < 1e-9);
+        assert_eq!(crate::overhead_pct(0.0, 5.0), 0.0);
     }
 }

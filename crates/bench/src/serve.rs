@@ -14,9 +14,8 @@
 //!
 //! Violations are counted and returned — the `experiments` binary exits
 //! non-zero on any, which is what wires the smoke cell into
-//! `scripts/check.sh`. The sweep record lands in `BENCH_PR5.json` under
-//! the `"serving"` key (schema v3) with throughput, per-session
-//! time-to-target, and p50/p95/p99 batch latencies.
+//! `scripts/check.sh`. Each cell prints its throughput and p50/p95/p99
+//! batch latencies.
 
 use crate::{conviva_workload, ExpScale, Workload};
 use iolap_core::{BatchReport, Histogram, IolapDriver};
@@ -72,8 +71,6 @@ pub struct ServeSessionResult {
     /// Whether every received report was byte-identical to the solo run's
     /// report at the same batch index.
     pub exact_vs_solo: bool,
-    /// Submit → finish wall-clock (the time-to-target axis).
-    pub time_to_end_ms: f64,
 }
 
 /// One cell of the session-count × worker-count sweep.
@@ -99,25 +96,6 @@ pub struct ServeCell {
     pub session_results: Vec<ServeSessionResult>,
     /// Contract violations detected in this cell.
     pub violations: usize,
-}
-
-/// The full `experiments serve` record.
-#[derive(Clone, Debug)]
-pub struct ServingRecord {
-    /// Whether this was the pinned smoke configuration.
-    pub smoke: bool,
-    /// Sweep cells in run order.
-    pub cells: Vec<ServeCell>,
-    /// Whether the admission probe was explicitly rejected (never hung).
-    pub admission_rejected: bool,
-}
-
-impl ServingRecord {
-    /// Total contract violations across the record.
-    pub fn violations(&self) -> usize {
-        let cells: usize = self.cells.iter().map(|c| c.violations).sum();
-        cells + usize::from(!self.admission_rejected)
-    }
 }
 
 /// The query/policy mix for `n` sessions: queries cycle through distinct
@@ -263,10 +241,6 @@ pub fn run_cell(
             total_batches: summary.total_batches,
             stopped_early,
             exact_vs_solo: exact,
-            time_to_end_ms: summary
-                .elapsed
-                .map(|d| d.as_secs_f64() * 1e3)
-                .unwrap_or(f64::NAN),
         });
     }
     server.shutdown();
@@ -344,7 +318,7 @@ fn sweep_cells(smoke: bool) -> Vec<(usize, usize, &'static str)> {
 /// Run the serving sweep. `smoke` pins the scale (independent of
 /// `IOLAP_SCALE`, like `trace --smoke`) so the offline gate is fast and
 /// stable. Returns the record plus the violation count.
-pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> (ServingRecord, usize) {
+pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> usize {
     let scale = if smoke {
         ExpScale {
             tpch_sf: 0.1,
@@ -366,7 +340,7 @@ pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> (ServingRecord, usize) {
     );
     let solo = solo_reference(&w, &queries, &scale);
 
-    let mut cells = Vec::new();
+    let mut violations = 0;
     for (workers, sessions, arrival) in sweep_cells(smoke) {
         let cell = run_cell(&w, &scale, workers, sessions, arrival, &solo);
         println!(
@@ -400,7 +374,7 @@ pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> (ServingRecord, usize) {
                 );
             }
         }
-        cells.push(cell);
+        violations += cell.violations;
     }
 
     let admission_rejected = admission_probe(&w, &scale);
@@ -412,13 +386,7 @@ pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> (ServingRecord, usize) {
             "VIOLATION: overflow was not rejected"
         }
     );
-    let record = ServingRecord {
-        smoke,
-        cells,
-        admission_rejected,
-    };
-    let violations = record.violations();
-    (record, violations)
+    violations + usize::from(!admission_rejected)
 }
 
 /// Run the TCP front-end until the process is killed: builds the Conviva

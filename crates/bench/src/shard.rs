@@ -30,81 +30,47 @@ use std::time::Instant;
 
 /// One cell of the shards × batch-count grid.
 #[derive(Clone, Debug)]
-pub struct ShardCell {
+struct ShardCell {
     /// Query id.
-    pub query: &'static str,
+    query: &'static str,
     /// Shard count (`0` = unsharded single-process baseline).
-    pub shards: usize,
+    shards: usize,
     /// Mini-batches the stream was split into (the batch-size axis:
     /// fewer batches ⇒ more rows, and more grid partitions, per batch).
-    pub batches: usize,
-    /// Stream rows.
-    pub rows: usize,
+    batches: usize,
     /// End-to-end wall clock.
-    pub elapsed_ms: f64,
+    elapsed_ms: f64,
     /// Stream rows per second of wall clock.
-    pub rows_per_s: f64,
+    rows_per_s: f64,
     /// Total coordinator-side dispatch wait (`shard.dispatch_ns`).
-    pub dispatch_ms: f64,
+    dispatch_ms: f64,
     /// Total partition-order merge time (`shard.merge_ns`).
-    pub merge_ms: f64,
+    merge_ms: f64,
     /// Partial-state bytes shipped shard→coordinator.
-    pub bytes_shipped: u64,
+    bytes_shipped: u64,
     /// Whether every published report was byte-identical to the
     /// unsharded baseline of the same (query, batches) point.
-    pub identical: bool,
+    identical: bool,
 }
 
 /// Outcome of the loopback TCP probe.
 #[derive(Clone, Debug)]
-pub struct TcpProbe {
+struct TcpProbe {
     /// Worker connections used.
-    pub shards: usize,
+    shards: usize,
     /// Byte-identity vs the unsharded baseline.
-    pub identical: bool,
+    identical: bool,
     /// Measured response-frame bytes (the paper's data-shipped axis).
-    pub bytes_shipped: u64,
+    bytes_shipped: u64,
     /// Wall clock of the TCP run.
-    pub elapsed_ms: f64,
+    elapsed_ms: f64,
     /// Total `shard.fold` exchanges across worker connections
     /// (the coordinator-side `shard.stats` view).
-    pub worker_folds: u64,
+    worker_folds: u64,
     /// Total partials acknowledged as merged.
-    pub worker_acked: u64,
+    worker_acked: u64,
     /// Total response-line bytes per the worker-stats counters.
-    pub worker_response_bytes: u64,
-}
-
-/// The full `experiments shard` record (`"sharding"` JSON section).
-#[derive(Clone, Debug)]
-pub struct ShardingRecord {
-    /// Whether this was the pinned smoke configuration.
-    pub smoke: bool,
-    /// Grid cells in run order.
-    pub cells: Vec<ShardCell>,
-    /// Loopback TCP probe; `None` when the sandbox denies loopback.
-    pub tcp: Option<TcpProbe>,
-    /// Fault-storm cells replayed at `N = 2` shards.
-    pub storm_runs: usize,
-    /// Of those, cells whose final answer stayed Theorem-1-exact.
-    pub storm_agree: usize,
-    /// Whether some sharded cell beat the unsharded baseline's wall
-    /// clock on the same (query, batches) point — the scale-out win.
-    pub scaleout_win: bool,
-}
-
-impl ShardingRecord {
-    /// Determinism/exactness violations across the record (throughput is
-    /// recorded, never asserted).
-    pub fn violations(&self) -> usize {
-        let cells = self.cells.iter().filter(|c| !c.identical).count();
-        let tcp = self
-            .tcp
-            .as_ref()
-            .map(|t| usize::from(!t.identical))
-            .unwrap_or(0);
-        cells + tcp + (self.storm_runs - self.storm_agree)
-    }
+    worker_response_bytes: u64,
 }
 
 /// Canonical serialization of a whole run's published answers.
@@ -152,7 +118,7 @@ fn run_with(
 /// Run the shards × batch-count sweep; returns the record and its
 /// violation count. `smoke` pins one grid point per axis for the offline
 /// gate; the full sweep covers the crossover region.
-pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
+pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> usize {
     // The sweep wants fold-dominated batches with several grid partitions
     // each, so rows-per-batch must clear a few multiples of
     // PARTITION_ROWS regardless of the ambient scale.
@@ -164,7 +130,7 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
     let batch_counts: &[usize] = if smoke { &[4] } else { &[4, 8] };
     let shard_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 
-    let mut cells = Vec::new();
+    let mut diverged = 0usize;
     let mut scaleout_win = false;
     println!(
         "{:<6} {:>7} {:>8} {:>11} {:>12} {:>11} {:>9} {:>13} {:>10}",
@@ -187,7 +153,6 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
                 query,
                 shards: 0,
                 batches,
-                rows,
                 elapsed_ms: base_ms,
                 rows_per_s: rows as f64 / (base_ms / 1e3),
                 dispatch_ms: 0.0,
@@ -196,7 +161,6 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
                 identical: true,
             };
             print_cell(&cell);
-            cells.push(cell.clone());
             for &shards in shard_counts {
                 let pool: Arc<dyn ShardExec> = Arc::new(ThreadShardPool::new(shards));
                 let (reports, ms) = run_with(&w, query, batches, &scale, Some(Arc::clone(&pool)));
@@ -204,7 +168,6 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
                     query,
                     shards,
                     batches,
-                    rows,
                     elapsed_ms: ms,
                     rows_per_s: rows as f64 / (ms / 1e3),
                     dispatch_ms: metric_total(&reports, "shard.dispatch_ns") as f64 / 1e6,
@@ -214,7 +177,7 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
                 };
                 scaleout_win |= cell.identical && shards > 1 && ms < base_ms;
                 print_cell(&cell);
-                cells.push(cell);
+                diverged += usize::from(!cell.identical);
             }
         }
     }
@@ -248,22 +211,14 @@ pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> (ShardingRecord, usize) {
     );
     report_storm_failures(&storm);
 
-    let record = ShardingRecord {
-        smoke,
-        cells,
-        tcp,
-        storm_runs: storm.len(),
-        storm_agree: agree,
-        scaleout_win,
-    };
-    let v = record.violations();
+    let v = diverged + tcp.map_or(0, |t| usize::from(!t.identical)) + (storm.len() - agree);
     if v > 0 {
         eprintln!("shard sweep: {v} determinism/exactness violation(s)");
     }
-    if record.scaleout_win {
+    if scaleout_win {
         println!("scale-out win: some sharded cell beat the single-process baseline");
     }
-    (record, v)
+    v
 }
 
 fn print_cell(c: &ShardCell) {

@@ -119,8 +119,8 @@ pub struct BatchReport {
     pub state_bytes_other: usize,
     /// Exclusive per-span self-time for this batch, `(span name, ns)` in
     /// name order, derived from the trace span tree (nested spans do not
-    /// double-count — unlike the deprecated `Metrics::total_span_ns`
-    /// rollup). Empty when tracing is off.
+    /// double-count — unlike a sum over the inclusive `_ns` metrics).
+    /// Empty when tracing is off.
     pub self_time_ns: Vec<(&'static str, u64)>,
 }
 
@@ -253,6 +253,12 @@ pub struct IolapDriver {
     /// [`IolapDriver::set_shard_exec`] — the pool outlives checkpoints and
     /// is never part of restored state.
     shards: Option<Arc<dyn crate::shard::ShardExec>>,
+    /// Set when rows are appended after the final step: that step ran
+    /// with `last_batch`, which lets operators drop state a later batch
+    /// needs (a join forgets the other side's rows). The next step
+    /// restores the state from before it (recovery target `j`) and
+    /// replays the consumed batches with the appended one.
+    rewind: Option<isize>,
 }
 
 impl IolapDriver {
@@ -350,6 +356,7 @@ impl IolapDriver {
             tracer,
             query_span,
             shards: None,
+            rewind: None,
         })
     }
 
@@ -449,8 +456,10 @@ impl IolapDriver {
     /// after the original partition is exhausted — late arrival simply
     /// grows the totals, so earlier prefixes scale up (the multiplicity
     /// semantics of §2) and the final answer is exact again once the new
-    /// batch is consumed (Theorem 1). Returns the new batch's 0-based
-    /// index.
+    /// batch is consumed (Theorem 1). After the final step, the next step
+    /// first restores the state from before that step and replays the
+    /// consumed batches with the new one (§5.1 restore-and-replay).
+    /// Returns the new batch's 0-based index.
     pub fn append_rows(&mut self, rel: Relation) -> Result<usize, DriverError> {
         if rel.is_empty() {
             return Err(DriverError::Setup(
@@ -464,6 +473,9 @@ impl IolapDriver {
             )));
         }
         let index = self.batches.num_batches();
+        if self.next_batch == index && self.rewind.is_none() {
+            self.rewind = Some(index as isize - 2);
+        }
         self.batches.push_batch(rel);
         if let Some(t) = &self.tracer {
             t.instant(
@@ -592,6 +604,10 @@ impl IolapDriver {
         let mut depth = 0usize;
         let mut replaying = false;
         let mut work = self.batches.batch(i).clone();
+        if let Some(j) = self.rewind.take() {
+            work = self.restore_for_replay(j, i, &mut metrics, batch_span, " (append)")?;
+            replaying = true;
+        }
         loop {
             let pass_span = Span::start();
             let attempt = self.process_delta(i, &work, &mut stats, &mut metrics, batch_span);
@@ -619,23 +635,8 @@ impl IolapDriver {
                     }
                     metrics.add("recovery.error_replays", 1);
                     recovered = true;
-                    let restore_span = Span::start();
-                    self.restore_checkpoint(i as isize - 1, &mut metrics)?;
-                    self.reseed_quarantine();
-                    restore_span.stop(&mut metrics, "recovery.restore_ns");
-                    let replay_start = self.restored_batch(i as isize - 1);
-                    work = self.combined_delta(replay_start, i);
-                    metrics.add("recovery.replays", 1);
-                    metrics.add("recovery.replayed_rows", work.len() as u64);
-                    if let Some(t) = &self.tracer {
-                        t.instant(
-                            "recovery.replay",
-                            i,
-                            batch_span,
-                            work.len() as u64,
-                            format!("replay batches {replay_start}..={i}"),
-                        );
-                    }
+                    work =
+                        self.restore_for_replay(i as isize - 1, i, &mut metrics, batch_span, "")?;
                     replaying = true;
                     continue;
                 }
@@ -695,23 +696,8 @@ impl IolapDriver {
             } else {
                 j
             };
-            let restore_span = Span::start();
-            self.restore_checkpoint(target, &mut metrics)?;
-            self.reseed_quarantine();
-            restore_span.stop(&mut metrics, "recovery.restore_ns");
-            let replay_start = self.restored_batch(target);
-            work = self.combined_delta(replay_start, i);
-            metrics.add("recovery.replays", 1);
-            metrics.add("recovery.replayed_rows", work.len() as u64);
-            if let Some(t) = &self.tracer {
-                t.instant(
-                    "recovery.replay",
-                    i,
-                    batch_span,
-                    work.len() as u64,
-                    format!("replay batches {replay_start}..={i} (target {target})"),
-                );
-            }
+            let note = format!(" (target {target})");
+            work = self.restore_for_replay(target, i, &mut metrics, batch_span, &note)?;
             replaying = true;
         }
 
@@ -953,6 +939,38 @@ impl IolapDriver {
             self.last_derefs = self.registry.deref_count();
             return Ok(());
         }
+    }
+
+    /// §5.1 restore-and-replay setup: restore the newest intact checkpoint
+    /// at or before `j`, re-arm the quarantine, and return the combined
+    /// delta of every batch after the restored one through `i`. `note`
+    /// ends the trace detail.
+    fn restore_for_replay(
+        &mut self,
+        j: isize,
+        i: usize,
+        metrics: &mut Metrics,
+        batch_span: SpanId,
+        note: &str,
+    ) -> Result<Relation, DriverError> {
+        let restore_span = Span::start();
+        self.restore_checkpoint(j, metrics)?;
+        self.reseed_quarantine();
+        restore_span.stop(metrics, "recovery.restore_ns");
+        let replay_start = self.restored_batch(j);
+        let work = self.combined_delta(replay_start, i);
+        metrics.add("recovery.replays", 1);
+        metrics.add("recovery.replayed_rows", work.len() as u64);
+        if let Some(t) = &self.tracer {
+            t.instant(
+                "recovery.replay",
+                i,
+                batch_span,
+                work.len() as u64,
+                format!("replay batches {replay_start}..={i}{note}"),
+            );
+        }
+        Ok(work)
     }
 
     /// Examine the outcomes of one processing pass: every non-quarantined

@@ -17,12 +17,9 @@
 
 use crate::channel::{BatchData, ORow};
 use crate::ops::{BatchCtx, OnlineOp};
-use crate::shard::{self, AccState, FoldFragment, FragKind, FragSrc, PartialGroup};
-use iolap_engine::{Accumulator, AggCall, EngineError, Expr, RefMode};
-use iolap_relation::kernels::fold::{
-    fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted, gather_numeric,
-};
-use iolap_relation::{AggRef, Schema, SelVec, Value};
+use crate::shard::{self, AccState, FoldFragment, FragKind, PartialGroup};
+use iolap_engine::{Accumulator, AggCall, EngineError, RefMode};
+use iolap_relation::{AggRef, Schema, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -52,32 +49,18 @@ enum TrialState {
     /// `a[t]` = Σ weight·x (or Σ weight for COUNT); `b[t]` = Σ weight over
     /// non-null inputs (presence/denominator).
     Fast {
-        kind: FastKind,
+        kind: FragKind,
         a: Vec<f64>,
         b: Vec<f64>,
     },
     Generic(Vec<AccBox>),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FastKind {
-    Count,
-    Sum,
-    Avg,
-}
-
 impl TrialState {
     fn new(kind: &iolap_engine::AggKind, trials: usize) -> TrialState {
-        use iolap_engine::{AggKind, BuiltinAgg};
-        let fast = match kind {
-            AggKind::Builtin(BuiltinAgg::Count) => Some(FastKind::Count),
-            AggKind::Builtin(BuiltinAgg::Sum) => Some(FastKind::Sum),
-            AggKind::Builtin(BuiltinAgg::Avg) => Some(FastKind::Avg),
-            _ => None,
-        };
-        match fast {
-            Some(k) => TrialState::Fast {
-                kind: k,
+        match FragKind::of(kind) {
+            Some(kind) => TrialState::Fast {
+                kind,
                 a: vec![0.0; trials],
                 b: vec![0.0; trials],
             },
@@ -91,44 +74,10 @@ impl TrialState {
         match self {
             TrialState::Fast { kind, a, b } => {
                 let x = v.as_f64();
-                if v.is_null() || (x.is_none() && *kind != FastKind::Count) {
+                if v.is_null() || (x.is_none() && *kind != FragKind::Count) {
                     return;
                 }
-                let x = x.unwrap_or(0.0);
-                match &row.weights {
-                    None => {
-                        let w = row.mult;
-                        match kind {
-                            FastKind::Count => {
-                                for t in a.iter_mut() {
-                                    *t += w;
-                                }
-                            }
-                            FastKind::Sum | FastKind::Avg => {
-                                for (ta, tb) in a.iter_mut().zip(b.iter_mut()) {
-                                    *ta += w * x;
-                                    *tb += w;
-                                }
-                            }
-                        }
-                    }
-                    Some(ws) => {
-                        let m = row.mult;
-                        match kind {
-                            FastKind::Count => {
-                                for (t, w) in a.iter_mut().zip(ws.iter()) {
-                                    *t += m * w;
-                                }
-                            }
-                            FastKind::Sum | FastKind::Avg => {
-                                for ((ta, tb), w) in a.iter_mut().zip(b.iter_mut()).zip(ws.iter()) {
-                                    *ta += m * w * x;
-                                    *tb += m * w;
-                                }
-                            }
-                        }
-                    }
-                }
+                kind.fold_trials(a, b, x.unwrap_or(0.0), row);
             }
             TrialState::Generic(accs) => {
                 for (t, acc) in accs.iter_mut().enumerate() {
@@ -147,8 +96,8 @@ impl TrialState {
                     return;
                 }
                 match kind {
-                    FastKind::Count => a[t] += w,
-                    FastKind::Sum | FastKind::Avg => {
+                    FragKind::Count => a[t] += w,
+                    FragKind::Sum | FragKind::Avg => {
                         if let Some(x) = v.as_f64() {
                             a[t] += w * x;
                             b[t] += w;
@@ -165,12 +114,12 @@ impl TrialState {
     fn output_f64(&self, t: usize, scale: f64) -> f64 {
         match self {
             TrialState::Fast { kind, a, b } => match kind {
-                FastKind::Count => a[t] * scale,
+                FragKind::Count => a[t] * scale,
                 // An empty resample of a SUM is genuinely 0 (every tuple
                 // drawn 0 times), not missing — keeping it in the envelope
                 // is what lets small groups' ranges honestly include 0.
-                FastKind::Sum => a[t] * scale,
-                FastKind::Avg => {
+                FragKind::Sum => a[t] * scale,
+                FragKind::Avg => {
                     if b[t] > 0.0 {
                         a[t] / b[t]
                     } else {
@@ -223,55 +172,9 @@ impl TrialState {
     }
 }
 
-/// Where one vectorizable aggregate call reads its argument from.
-#[derive(Clone, Debug)]
-enum FastSrc {
-    /// Bare input column.
-    Col(usize),
-    /// Constant literal (lineage-free).
-    Lit(Value),
-}
-
-/// Compile-time description of a fully vectorizable aggregate: every call a
-/// builtin COUNT/SUM/AVG over a bare column or constant, no uncertain
-/// arguments. When present, whole mini-batch chunks fold through the
-/// columnar kernels instead of per-row expression evaluation.
-#[derive(Clone, Debug)]
-struct FastPlan {
-    srcs: Vec<FastSrc>,
-    kinds: Vec<FastKind>,
-}
-
-impl FastPlan {
-    fn compile(aggs: &[AggCall], arg_uncertain: &[bool]) -> Option<FastPlan> {
-        use iolap_engine::{AggKind, BuiltinAgg};
-        if arg_uncertain.iter().any(|b| *b) {
-            return None;
-        }
-        let mut srcs = Vec::with_capacity(aggs.len());
-        let mut kinds = Vec::with_capacity(aggs.len());
-        for call in aggs {
-            kinds.push(match &call.kind {
-                AggKind::Builtin(BuiltinAgg::Count) => FastKind::Count,
-                AggKind::Builtin(BuiltinAgg::Sum) => FastKind::Sum,
-                AggKind::Builtin(BuiltinAgg::Avg) => FastKind::Avg,
-                _ => return None,
-            });
-            srcs.push(match &call.input {
-                Expr::Col(i) => FastSrc::Col(*i),
-                Expr::Lit(v) if !matches!(v, Value::Ref(_) | Value::Pending(_)) => {
-                    FastSrc::Lit(v.clone())
-                }
-                _ => return None,
-            });
-        }
-        Some(FastPlan { srcs, kinds })
-    }
-}
-
-/// Instrumentation from one `fold_rows` call. Folds run behind `&self`
-/// (workers and shard pools cannot write `&mut Metrics`), so the numbers
-/// ride back to `process`, which records them around the call.
+/// Shard-dispatch instrumentation of one batch's `fold_rows` calls. Folds
+/// run behind `&self` (workers and shard pools cannot write
+/// `&mut Metrics`), so `process` records the totals after the folds.
 #[derive(Clone, Copy, Debug, Default)]
 struct FoldStats {
     /// Wall time of the shard-pool dispatch (0 when not offloaded).
@@ -284,17 +187,28 @@ struct FoldStats {
     offloaded: bool,
 }
 
-impl FoldStats {
-    fn absorb(&mut self, o: FoldStats) {
-        self.dispatch_ns += o.dispatch_ns;
-        self.merge_ns += o.merge_ns;
-        self.partials += o.partials;
-        self.offloaded |= o.offloaded;
-    }
-}
-
 /// Group-key → sketch map, the working state of a fold.
 type SketchMap = HashMap<Arc<[Value]>, GroupSketch>;
+
+/// One grid partition's folded groups (keys distinct).
+type PartitionGroups = Vec<(Arc<[Value]>, GroupSketch)>;
+
+/// Merge `groups` into `into`: a group new to `into` moves in, an existing
+/// one absorbs the incoming sketch.
+fn merge_into(
+    into: &mut SketchMap,
+    groups: impl IntoIterator<Item = (Arc<[Value]>, GroupSketch)>,
+) -> Result<(), EngineError> {
+    for (key, group) in groups {
+        match into.get_mut(&key) {
+            Some(existing) => existing.merge(&group)?,
+            None => {
+                into.insert(key, group);
+            }
+        }
+    }
+    Ok(())
+}
 
 /// Per-group sketch: one main accumulator plus per-trial state, per
 /// aggregate call.
@@ -362,12 +276,14 @@ pub struct AggregateOp {
     /// Compile-time: subtree reads the streamed relation → extensive
     /// outputs are scaled by `m_i`.
     pub scale_stream: bool,
-    sketch: HashMap<Arc<[Value]>, GroupSketch>,
+    sketch: SketchMap,
     /// Certain rows retained when sketching is impossible (uncertain
     /// aggregate arguments, §4.2).
     unsketchable_rows: Vec<ORow>,
     emitted_certain: HashSet<Arc<[Value]>>,
-    fast: Option<FastPlan>,
+    /// Compiled fold of a vectorizable aggregate; `None` folds row at a
+    /// time.
+    frag: Option<FoldFragment>,
 }
 
 impl AggregateOp {
@@ -383,7 +299,7 @@ impl AggregateOp {
         input_tuple_uncertain: bool,
         scale_stream: bool,
     ) -> Self {
-        let fast = FastPlan::compile(&aggs, &arg_uncertain);
+        let frag = FoldFragment::compile(agg_id, &group_cols, &aggs, &arg_uncertain);
         AggregateOp {
             child: Box::new(child),
             group_cols,
@@ -396,7 +312,7 @@ impl AggregateOp {
             sketch: HashMap::new(),
             unsketchable_rows: Vec::new(),
             emitted_certain: HashSet::new(),
-            fast,
+            frag,
         }
     }
 
@@ -425,11 +341,11 @@ impl AggregateOp {
         !self.arg_uncertain.iter().any(|b| *b)
     }
 
-    /// Whether a columnar fast plan compiled for this aggregate. Exposed
-    /// for the static verifier (V009): a fast plan must never coexist
-    /// with an uncertain aggregate argument.
-    pub fn has_fast_plan(&self) -> bool {
-        self.fast.is_some()
+    /// Whether a fold fragment compiled for this aggregate. Exposed for
+    /// the static verifier (V009): a fragment must never coexist with an
+    /// uncertain aggregate argument.
+    pub fn has_fragment(&self) -> bool {
+        self.frag.is_some()
     }
 
     /// Bytes held in sketch + retained-row state.
@@ -447,7 +363,7 @@ impl AggregateOp {
 
     fn fold_row(
         &self,
-        sketch: &mut HashMap<Arc<[Value]>, GroupSketch>,
+        sketch: &mut SketchMap,
         row: &ORow,
         certain: bool,
         registry: &crate::registry::AggRegistry,
@@ -479,309 +395,28 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Fold one chunk of rows into `map`: columnar fast path when the plan
-    /// applies, row-at-a-time otherwise.
-    fn fold_chunk(
+    /// Fold one grid partition: through the fragment when one compiled
+    /// and the partition carries no lineage cell in an argument column,
+    /// row at a time otherwise.
+    fn fold_partition(
         &self,
-        map: &mut HashMap<Arc<[Value]>, GroupSketch>,
         rows: &[ORow],
         certain: bool,
         registry: &crate::registry::AggRegistry,
         trials: usize,
-    ) -> Result<(), EngineError> {
-        if self.fold_chunk_columnar(map, rows, certain, trials)? {
-            return Ok(());
+    ) -> Result<PartitionGroups, EngineError> {
+        if let Some(groups) = self
+            .frag
+            .as_ref()
+            .and_then(|f| shard::fold_partition(f, rows, certain))
+        {
+            return Ok(groups.into_iter().map(sketch_from_partial).collect());
         }
+        let mut map = SketchMap::new();
         for row in rows {
-            self.fold_row(map, row, certain, registry, trials)?;
+            self.fold_row(&mut map, row, certain, registry, trials)?;
         }
-        Ok(())
-    }
-
-    /// Typed group-code assignment for a single-column group key: probe by
-    /// the cell's native representation (`i64`, float bits, `&str`, bool)
-    /// instead of cloning and hashing `Value` slices per row. Returns
-    /// `false` — caller reverts to the generic probe — when the key column
-    /// mixes variants or carries lineage cells. Codes and keys come out in
-    /// first-occurrence order with the exact `Value`-equality semantics of
-    /// the generic path (floats group by bit pattern, `Int(1)` never merges
-    /// with `Float(1.0)` because mixed chunks bail).
-    #[allow(clippy::too_many_arguments)]
-    fn codes_single_col(
-        &self,
-        g: usize,
-        rows: &[ORow],
-        trials: usize,
-        keys: &mut Vec<Arc<[Value]>>,
-        groups: &mut Vec<GroupSketch>,
-        codes: &mut Vec<u32>,
-    ) -> bool {
-        // Bound the code domain up front: `groups.len() ≤ rows.len() < 2³²`
-        // makes the infallible cast below provably exact (the generic path
-        // handles the absurd wider case with a checked conversion).
-        if u32::try_from(rows.len()).is_err() {
-            return false;
-        }
-        let mut ints: HashMap<i64, u32> = HashMap::new();
-        let mut floats: HashMap<u64, u32> = HashMap::new();
-        let mut strs: HashMap<Arc<str>, u32> = HashMap::new();
-        let mut bools = [None::<u32>; 2];
-        let mut null_code: Option<u32> = None;
-        // 0=Int 1=Float 2=Bool 3=Str, pinned by the first non-null cell.
-        let mut kind: Option<u8> = None;
-        for row in rows {
-            let v = &row.values[g];
-            let k = match v {
-                Value::Null => u8::MAX,
-                Value::Int(_) => 0,
-                Value::Float(_) => 1,
-                Value::Bool(_) => 2,
-                Value::Str(_) => 3,
-                Value::Ref(_) | Value::Pending(_) => return false,
-            };
-            if k != u8::MAX {
-                match kind {
-                    None => kind = Some(k),
-                    Some(prev) if prev == k => {}
-                    Some(_) => return false,
-                }
-            }
-            let fresh = |keys: &mut Vec<Arc<[Value]>>, groups: &mut Vec<GroupSketch>| {
-                let code = groups.len() as u32;
-                keys.push(Arc::from(vec![v.clone()]));
-                groups.push(GroupSketch::new(&self.aggs, trials));
-                code
-            };
-            let code = match v {
-                Value::Null => *null_code.get_or_insert_with(|| fresh(keys, groups)),
-                Value::Int(i) => *ints.entry(*i).or_insert_with(|| fresh(keys, groups)),
-                Value::Float(f) => *floats
-                    .entry(f.to_bits())
-                    .or_insert_with(|| fresh(keys, groups)),
-                Value::Bool(b) => {
-                    *bools[usize::from(*b)].get_or_insert_with(|| fresh(keys, groups))
-                }
-                Value::Str(s) => match strs.get(&**s) {
-                    Some(&code) => code,
-                    None => {
-                        let code = fresh(keys, groups);
-                        strs.insert(s.clone(), code);
-                        code
-                    }
-                },
-                Value::Ref(_) | Value::Pending(_) => return false,
-            };
-            codes.push(code);
-        }
-        true
-    }
-
-    /// Columnar fold of one chunk: gather each call's argument column once,
-    /// assign dense group codes with one hash probe per row, then fold main
-    /// accumulators and trial vectors per row by code — no per-row key
-    /// allocation, `EvalContext`, or expression evaluation. Float additions
-    /// hit each (group, call) slot in input row order, exactly like
-    /// [`AggregateOp::fold_row`], so the resulting sketch is bit-identical
-    /// to the row path's.
-    ///
-    /// Returns `Ok(false)` — with `map` untouched — when no fast plan was
-    /// compiled or a lineage cell shows up in an argument column (those need
-    /// resolver access); the caller then falls back to the row path.
-    fn fold_chunk_columnar(
-        &self,
-        map: &mut HashMap<Arc<[Value]>, GroupSketch>,
-        rows: &[ORow],
-        certain: bool,
-        trials: usize,
-    ) -> Result<bool, EngineError> {
-        let Some(plan) = &self.fast else {
-            return Ok(false);
-        };
-        if rows.is_empty() {
-            return Ok(true);
-        }
-        // Pass A: gather argument columns (aborts before any group state
-        // mutation when a lineage cell appears).
-        let ncalls = plan.srcs.len();
-        let mut xs: Vec<Vec<f64>> = vec![Vec::new(); ncalls];
-        let mut sels: Vec<SelVec> = (0..ncalls)
-            .map(|_| SelVec::with_capacity(rows.len()))
-            .collect();
-        for (c, src) in plan.srcs.iter().enumerate() {
-            let count_kind = plan.kinds[c] == FastKind::Count;
-            let ok = match src {
-                FastSrc::Col(j) => gather_numeric(
-                    rows.iter().map(|r| &r.values[*j]),
-                    count_kind,
-                    &mut xs[c],
-                    &mut sels[c],
-                ),
-                FastSrc::Lit(v) => gather_numeric(
-                    std::iter::repeat_n(v, rows.len()),
-                    count_kind,
-                    &mut xs[c],
-                    &mut sels[c],
-                ),
-            };
-            if !ok {
-                return Ok(false);
-            }
-        }
-        // Pass B: dense group codes, one probe per row. Single-column keys
-        // take a typed probe (no per-row `Value` clone or slice hashing);
-        // multi-column or mixed-variant keys fall back to the generic
-        // scratch-buffer probe. Either way group codes are assigned in
-        // first-occurrence order, matching the row path's `entry` order.
-        let mut keys: Vec<Arc<[Value]>> = Vec::new();
-        let mut groups: Vec<GroupSketch> = Vec::new();
-        let mut codes: Vec<u32> = Vec::with_capacity(rows.len());
-        let typed = match self.group_cols.as_slice() {
-            // Global aggregate: every row is the one (empty-key) group.
-            [] => {
-                keys.push(Arc::from(Vec::new()));
-                groups.push(GroupSketch::new(&self.aggs, trials));
-                codes.resize(rows.len(), 0);
-                true
-            }
-            [g] => self.codes_single_col(*g, rows, trials, &mut keys, &mut groups, &mut codes),
-            _ => false,
-        };
-        if !typed {
-            keys.clear();
-            groups.clear();
-            codes.clear();
-            let mut index: HashMap<Arc<[Value]>, u32> = HashMap::new();
-            let mut scratch: Vec<Value> = Vec::with_capacity(self.group_cols.len());
-            for row in rows {
-                scratch.clear();
-                scratch.extend(self.group_cols.iter().map(|&g| row.values[g].clone()));
-                let code = match index.get(scratch.as_slice()) {
-                    Some(&code) => code,
-                    None => {
-                        let code = checked_code(groups.len())?;
-                        let key: Arc<[Value]> = Arc::from(&scratch[..]);
-                        index.insert(key.clone(), code);
-                        keys.push(key);
-                        groups.push(GroupSketch::new(&self.aggs, trials));
-                        code
-                    }
-                };
-                codes.push(code);
-            }
-        }
-        // `certain` is chunk-constant and every group was created by some
-        // row of this chunk, so the per-row `|=` collapses to one sweep.
-        if certain {
-            for group in &mut groups {
-                group.has_certain = true;
-            }
-        }
-        // Pass C: fold per row by code — main accumulator on every row,
-        // trial kernels on participating rows (per-call selection cursors).
-        let mut cursors = vec![0usize; ncalls];
-        for (i, row) in rows.iter().enumerate() {
-            let g = &mut groups[codes[i] as usize];
-            for c in 0..ncalls {
-                let v: &Value = match &plan.srcs[c] {
-                    FastSrc::Col(j) => &row.values[*j],
-                    FastSrc::Lit(l) => l,
-                };
-                g.accs[c].0.update(v, row.mult);
-                let cur = cursors[c];
-                if cur < sels[c].len() && sels[c].get(cur) == i {
-                    cursors[c] = cur + 1;
-                    let x = xs[c][cur];
-                    let TrialState::Fast { kind, a, b } = &mut g.trials[c] else {
-                        return Err(EngineError::Plan(
-                            "fast aggregate plan over non-fast trial state".to_string(),
-                        ));
-                    };
-                    match (*kind, &row.weights) {
-                        (FastKind::Count, None) => fold_count_uniform(a, row.mult),
-                        (FastKind::Count, Some(ws)) => fold_count_weighted(a, row.mult, ws),
-                        (FastKind::Sum | FastKind::Avg, None) => {
-                            fold_sum_uniform(a, b, x, row.mult)
-                        }
-                        (FastKind::Sum | FastKind::Avg, Some(ws)) => {
-                            fold_sum_weighted(a, b, x, row.mult, ws)
-                        }
-                    }
-                }
-            }
-        }
-        // Move the dense groups into the caller's map.
-        for (key, group) in keys.into_iter().zip(groups) {
-            match map.get_mut(&key) {
-                Some(existing) => existing.merge(&group)?,
-                None => {
-                    map.insert(key, group);
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Dispatchable shard fragment for this aggregate — present exactly
-    /// when the columnar fast plan compiled (builtin COUNT/SUM/AVG over
-    /// bare columns or literals, no uncertain arguments).
-    fn fragment(&self, trials: usize) -> Option<FoldFragment> {
-        let plan = self.fast.as_ref()?;
-        Some(FoldFragment {
-            agg_id: self.agg_id,
-            group_cols: self.group_cols.clone(),
-            kinds: plan
-                .kinds
-                .iter()
-                .map(|k| match k {
-                    FastKind::Count => FragKind::Count,
-                    FastKind::Sum => FragKind::Sum,
-                    FastKind::Avg => FragKind::Avg,
-                })
-                .collect(),
-            srcs: plan
-                .srcs
-                .iter()
-                .map(|s| match s {
-                    FastSrc::Col(i) => FragSrc::Col(*i),
-                    FastSrc::Lit(v) => FragSrc::Lit(v.clone()),
-                })
-                .collect(),
-            trials,
-        })
-    }
-
-    /// Rebuild a shipped partial group as a [`GroupSketch`] — lossless:
-    /// the engine accumulators are reconstructed bit-for-bit via their
-    /// `from_state` constructors, so a later [`GroupSketch::merge`] adds
-    /// exactly the floats a local fold of the same partition would have.
-    fn sketch_from_partial(&self, pg: PartialGroup) -> (Arc<[Value]>, GroupSketch) {
-        use iolap_engine::{AvgAcc, CountAcc, SumAcc};
-        let key: Arc<[Value]> = pg.key.into();
-        let mut accs = Vec::with_capacity(pg.calls.len());
-        let mut trials = Vec::with_capacity(pg.calls.len());
-        for call in pg.calls {
-            let (acc, kind): (Box<dyn Accumulator>, FastKind) = match call.acc {
-                AccState::Count { n } => (Box::new(CountAcc::from_state(n)), FastKind::Count),
-                AccState::Sum { sum, any } => {
-                    (Box::new(SumAcc::from_state(sum, any)), FastKind::Sum)
-                }
-                AccState::Avg { sum, n } => (Box::new(AvgAcc::from_state(sum, n)), FastKind::Avg),
-            };
-            accs.push(AccBox(acc));
-            trials.push(TrialState::Fast {
-                kind,
-                a: call.a,
-                b: call.b,
-            });
-        }
-        (
-            key,
-            GroupSketch {
-                accs,
-                trials,
-                has_certain: pg.has_certain,
-            },
-        )
+        Ok(map.into_iter().collect())
     }
 
     /// Fold `rows` into per-group sketches over the partition-stable grid
@@ -791,23 +426,25 @@ impl AggregateOp {
     /// result is bit-identical whether the partitions run on this thread,
     /// across `ctx.parallelism` workers, or on remote shards via
     /// `ctx.shards` ("demonstrated … on over 100 machines" — §8's
-    /// scale-up/scale-out equivalence).
+    /// scale-up/scale-out equivalence). All three run the same fragment
+    /// interpreter per partition.
     fn fold_rows(
         &self,
         rows: &[ORow],
         certain: bool,
         ctx: &BatchCtx<'_>,
-    ) -> Result<(SketchMap, FoldStats), EngineError> {
-        let mut stats = FoldStats::default();
+        stats: &mut FoldStats,
+    ) -> Result<SketchMap, EngineError> {
+        let mut merged = SketchMap::new();
         if rows.is_empty() {
-            return Ok((HashMap::new(), stats));
+            return Ok(merged);
         }
         // Scale-out path: ship the fragment + rows to the shard pool and
         // merge the per-partition partials it returns. `Ok(None)` (the
         // pool cannot take this batch — lineage cells, unencodable rows)
         // falls through to the local fold of the *same* grid.
         if let Some(exec) = ctx.shards {
-            if let Some(frag) = self.fragment(ctx.trials) {
+            if let Some(frag) = &self.frag {
                 // An armed WorkerPanic fault fires here exactly once per
                 // batch (the shard pool replaces the local worker threads);
                 // catch it so it surfaces as the same `EngineError` the
@@ -816,12 +453,7 @@ impl AggregateOp {
                     let inject = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         f.inject_worker_panic(ctx.batch_index)
                     }));
-                    if let Err(payload) = inject {
-                        return Err(EngineError::Plan(format!(
-                            "aggregate fold worker panicked: {}",
-                            crate::faults::panic_message(payload)
-                        )));
-                    }
+                    inject.map_err(worker_panicked)?;
                 }
                 let dispatch = crate::metrics::Span::start();
                 // Forward the operator span as the fold's trace parent so
@@ -832,27 +464,21 @@ impl AggregateOp {
                     batch: ctx.batch_index,
                 });
                 if let Some(mut partials) =
-                    exec.fold_traced(&frag, rows, certain, trace_ctx.as_ref())?
+                    exec.fold_traced(frag, rows, certain, trace_ctx.as_ref())?
                 {
-                    stats.dispatch_ns = dispatch.elapsed().as_nanos() as u64;
-                    stats.partials = partials.len() as u64;
+                    stats.dispatch_ns += dispatch.elapsed().as_nanos() as u64;
+                    stats.partials += partials.len() as u64;
                     stats.offloaded = true;
                     let merge = crate::metrics::Span::start();
                     partials.sort_by_key(|p| p.partition);
-                    let mut map: HashMap<Arc<[Value]>, GroupSketch> = HashMap::new();
                     for part in partials {
-                        for pg in part.groups {
-                            let (key, sketch) = self.sketch_from_partial(pg);
-                            match map.get_mut(&key) {
-                                Some(existing) => existing.merge(&sketch)?,
-                                None => {
-                                    map.insert(key, sketch);
-                                }
-                            }
-                        }
+                        merge_into(
+                            &mut merged,
+                            part.groups.into_iter().map(sketch_from_partial),
+                        )?;
                     }
-                    stats.merge_ns = merge.elapsed().as_nanos() as u64;
-                    return Ok((map, stats));
+                    stats.merge_ns += merge.elapsed().as_nanos() as u64;
+                    return Ok(merged);
                 }
             }
         }
@@ -866,14 +492,12 @@ impl AggregateOp {
         let fold_parts = |parts: &[(usize, usize)]| -> Result<Vec<_>, EngineError> {
             let mut out = Vec::with_capacity(parts.len());
             for &(s, e) in parts {
-                let mut map = HashMap::new();
-                self.fold_chunk(&mut map, &rows[s..e], certain, registry, trials)?;
-                out.push(map);
+                out.push(self.fold_partition(&rows[s..e], certain, registry, trials)?);
             }
             Ok(out)
         };
         let workers = ctx.parallelism.max(1);
-        type WorkerOut = Result<Vec<HashMap<Arc<[Value]>, GroupSketch>>, EngineError>;
+        type WorkerOut = Result<Vec<PartitionGroups>, EngineError>;
         let partials: Vec<WorkerOut> = if workers == 1 || rows.len() < 4 * workers {
             vec![fold_parts(&bounds)]
         } else {
@@ -899,30 +523,16 @@ impl AggregateOp {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(result) => result,
-                        Err(payload) => Err(EngineError::Plan(format!(
-                            "aggregate fold worker panicked: {}",
-                            crate::faults::panic_message(payload)
-                        ))),
-                    })
+                    .map(|h| h.join().unwrap_or_else(|p| Err(worker_panicked(p))))
                     .collect()
             })
         };
-        let mut merged: HashMap<Arc<[Value]>, GroupSketch> = HashMap::new();
-        for worker_maps in partials {
-            for map in worker_maps? {
-                for (k, v) in map {
-                    match merged.get_mut(&k) {
-                        Some(existing) => existing.merge(&v)?,
-                        None => {
-                            merged.insert(k, v);
-                        }
-                    }
-                }
+        for worker_parts in partials {
+            for part in worker_parts? {
+                merge_into(&mut merged, part)?;
             }
         }
-        Ok((merged, stats))
+        Ok(merged)
     }
 
     pub(crate) fn process(&mut self, ctx: &mut BatchCtx<'_>) -> Result<BatchData, EngineError> {
@@ -931,6 +541,9 @@ impl AggregateOp {
         ctx.stats.shipped_bytes += input.approx_bytes();
         let input_exhausted = input.exhausted;
         let mut out = BatchData::empty(self.schema.clone());
+        if let Some(frag) = &mut self.frag {
+            frag.trials = ctx.trials;
+        }
 
         // Keys touched by this batch: fresh certain rows and everything on
         // the uncertain channel. Untouched groups only need their scale
@@ -943,24 +556,14 @@ impl AggregateOp {
             // (Workers cannot write `&mut Metrics`, so folds are timed and
             // counted here, around the call.)
             let fold_span = crate::metrics::Span::start();
-            let (delta, fstats) = self.fold_rows(&input.delta_certain, true, ctx)?;
+            let delta = self.fold_rows(&input.delta_certain, true, ctx, &mut shard_stats)?;
             fold_span.stop(&mut ctx.metrics, "agg.fold_ns");
-            shard_stats.absorb(fstats);
             ctx.metrics
                 .add("agg.fold_rows", input.delta_certain.len() as u64);
             // The delta map's key set is exactly the fresh rows' key set, so
             // reuse it instead of a second per-row key-allocation pass.
             touched = delta.keys().cloned().collect();
-            let mut sketch = std::mem::take(&mut self.sketch);
-            for (k, v) in delta {
-                match sketch.get_mut(&k) {
-                    Some(existing) => existing.merge(&v)?,
-                    None => {
-                        sketch.insert(k, v);
-                    }
-                }
-            }
-            self.sketch = sketch;
+            merge_into(&mut self.sketch, delta)?;
         } else {
             self.unsketchable_rows
                 .extend(input.delta_certain.iter().cloned());
@@ -974,27 +577,18 @@ impl AggregateOp {
         // Temporary sketch over recomputed rows: the uncertain channel plus
         // (when unsketchable) all retained certain rows.
         let fold_span = crate::metrics::Span::start();
-        let (mut temp, fstats) = self.fold_rows(&input.uncertain, false, ctx)?;
+        let mut temp = self.fold_rows(&input.uncertain, false, ctx, &mut shard_stats)?;
         fold_span.stop(&mut ctx.metrics, "agg.fold_ns");
-        shard_stats.absorb(fstats);
         ctx.metrics
             .add("agg.fold_rows", input.uncertain.len() as u64);
         if !sketchable {
             ctx.stats.recomputed_tuples += self.unsketchable_rows.len();
             let rows = std::mem::take(&mut self.unsketchable_rows);
             let refold_span = crate::metrics::Span::start();
-            let (certain_part, fstats) = self.fold_rows(&rows, true, ctx)?;
+            let certain_part = self.fold_rows(&rows, true, ctx, &mut shard_stats)?;
             refold_span.stop(&mut ctx.metrics, "agg.fold_ns");
-            shard_stats.absorb(fstats);
             ctx.metrics.add("agg.refold_rows", rows.len() as u64);
-            for (k, v) in certain_part {
-                match temp.get_mut(&k) {
-                    Some(existing) => existing.merge(&v)?,
-                    None => {
-                        temp.insert(k, v);
-                    }
-                }
-            }
+            merge_into(&mut temp, certain_part)?;
             self.unsketchable_rows = rows;
         }
         touched.extend(temp.keys().cloned());
@@ -1175,16 +769,51 @@ impl AggregateOp {
     }
 }
 
-/// Checked dense-group-code conversion for the generic probe (the typed
-/// single-column paths bound their domain up front instead).
-fn checked_code(n: usize) -> Result<u32, EngineError> {
-    u32::try_from(n)
-        .map_err(|_| EngineError::Plan("more than u32::MAX groups in one chunk".to_string()))
+/// A panicking fold worker (or an injected `WorkerPanic`) as the engine
+/// error the driver recovers from.
+fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+    EngineError::Plan(format!(
+        "aggregate fold worker panicked: {}",
+        crate::faults::panic_message(payload)
+    ))
+}
+
+/// Rebuild a fragment-folded partial group as a [`GroupSketch`] —
+/// lossless: the engine accumulators are reconstructed bit-for-bit via
+/// their `from_state` constructors, so a later [`GroupSketch::merge`] adds
+/// exactly the floats a row-at-a-time fold of the same partition would.
+fn sketch_from_partial(pg: PartialGroup) -> (Arc<[Value]>, GroupSketch) {
+    use iolap_engine::{AvgAcc, CountAcc, SumAcc};
+    let key: Arc<[Value]> = pg.key.into();
+    let mut accs = Vec::with_capacity(pg.calls.len());
+    let mut trials = Vec::with_capacity(pg.calls.len());
+    for call in pg.calls {
+        let (acc, kind): (Box<dyn Accumulator>, FragKind) = match call.acc {
+            AccState::Count { n } => (Box::new(CountAcc::from_state(n)), FragKind::Count),
+            AccState::Sum { sum, any } => (Box::new(SumAcc::from_state(sum, any)), FragKind::Sum),
+            AccState::Avg { sum, n } => (Box::new(AvgAcc::from_state(sum, n)), FragKind::Avg),
+        };
+        accs.push(AccBox(acc));
+        trials.push(TrialState::Fast {
+            kind,
+            a: call.a,
+            b: call.b,
+        });
+    }
+    (
+        key,
+        GroupSketch {
+            accs,
+            trials,
+            has_certain: pg.has_certain,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::OnlineOp;
     use iolap_engine::{AggKind, BuiltinAgg, Expr};
 
     #[test]
@@ -1202,6 +831,141 @@ mod tests {
         a.merge(&b).unwrap();
         assert_eq!(a.accs[0].0.output(1.0), Value::Float(15.0));
         assert!(a.has_certain);
+    }
+
+    /// Main-accumulator state as raw bits (COUNT/SUM/AVG only).
+    fn acc_bits(acc: &dyn Accumulator) -> Vec<u64> {
+        use iolap_engine::{AvgAcc, CountAcc, SumAcc};
+        let any = acc.as_any();
+        if let Some(a) = any.downcast_ref::<CountAcc>() {
+            vec![a.state().to_bits()]
+        } else if let Some(a) = any.downcast_ref::<SumAcc>() {
+            let (sum, seen) = a.state();
+            vec![sum.to_bits(), u64::from(seen)]
+        } else if let Some(a) = any.downcast_ref::<AvgAcc>() {
+            let (sum, n) = a.state();
+            vec![sum.to_bits(), n.to_bits()]
+        } else {
+            panic!("not a fragment accumulator")
+        }
+    }
+
+    fn trial_bits(t: &TrialState) -> (FragKind, Vec<u64>) {
+        let TrialState::Fast { kind, a, b } = t else {
+            panic!("not a fragment trial state")
+        };
+        (
+            *kind,
+            a.iter().chain(b.iter()).map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// Fold `rows` as one partition through the fragment interpreter and
+    /// through `fold_row`, assert the sketches are bit-identical, and
+    /// return the interpreter's groups.
+    fn fold_both_ways(group_cols: Vec<usize>, rows: &[ORow], certain: bool) -> SketchMap {
+        const TRIALS: usize = 3;
+        let call = |kind, input| AggCall {
+            kind: AggKind::Builtin(kind),
+            input,
+            name: "a".into(),
+        };
+        let aggs = vec![
+            call(BuiltinAgg::Count, Expr::Col(1)),
+            call(BuiltinAgg::Sum, Expr::Col(1)),
+            call(BuiltinAgg::Avg, Expr::Col(1)),
+            call(BuiltinAgg::Count, Expr::Lit(Value::Int(1))),
+        ];
+        let n = aggs.len();
+        let child = OnlineOp::Union(crate::ops::UnionOp::new(Vec::new()));
+        let op = AggregateOp::new(
+            child,
+            group_cols,
+            aggs,
+            Schema::empty(),
+            0,
+            vec![false; n],
+            false,
+            true,
+        );
+        let mut frag = op.frag.clone().expect("COUNT/SUM/AVG over columns compile");
+        frag.trials = TRIALS;
+        let by_fragment: SketchMap = shard::fold_partition(&frag, rows, certain)
+            .expect("no lineage cells")
+            .into_iter()
+            .map(sketch_from_partial)
+            .collect();
+        let registry = crate::registry::AggRegistry::new();
+        let mut by_row = SketchMap::new();
+        for row in rows {
+            op.fold_row(&mut by_row, row, certain, &registry, TRIALS)
+                .unwrap();
+        }
+        assert_eq!(by_fragment.len(), by_row.len());
+        for (key, f) in &by_fragment {
+            let r = &by_row[key];
+            assert_eq!(f.has_certain, r.has_certain);
+            for c in 0..n {
+                assert_eq!(
+                    acc_bits(f.accs[c].0.as_ref()),
+                    acc_bits(r.accs[c].0.as_ref())
+                );
+                assert_eq!(
+                    trial_bits(&f.trials[c]),
+                    trial_bits(&r.trials[c]),
+                    "{key:?} call {c}"
+                );
+            }
+        }
+        by_fragment
+    }
+
+    #[test]
+    fn fragment_fold_is_bit_identical_to_the_row_fold() {
+        // Arguments cover numbers, NULL and a string (folds only under
+        // COUNT); rows alternate between weighted and unweighted.
+        let args = [
+            Value::Float(0.1),
+            Value::Int(7),
+            Value::Null,
+            Value::str("x"),
+            Value::Float(-2.5),
+            Value::Float(1e16),
+        ];
+        let keys = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(f64::NAN),
+            Value::str("k"),
+            Value::Bool(true),
+            Value::Null,
+            Value::Int(-3),
+        ];
+        let rows: Vec<ORow> = (0..60)
+            .map(|i| ORow {
+                values: Arc::from(vec![
+                    keys[i % keys.len()].clone(),
+                    args[i % args.len()].clone(),
+                    Value::Int(i as i64 % 2),
+                ]),
+                mult: 1.0 + (i % 3) as f64 * 0.5,
+                weights: (i % 2 == 1).then(|| Arc::from(vec![0.0, 1.0, (i % 4) as f64])),
+            })
+            .collect();
+        for certain in [true, false] {
+            // Single-column keys of every variant: Int(1) and Float(1.0)
+            // stay apart, NaN groups with itself.
+            let single = fold_both_ways(vec![0], &rows, certain);
+            assert_eq!(single.len(), keys.len());
+            assert!(single.contains_key(&[Value::Int(1)][..]));
+            assert!(single.contains_key(&[Value::Float(1.0)][..]));
+            // Multi-column keys and the global (empty-key) group.
+            assert_eq!(
+                fold_both_ways(vec![0, 2], &rows, certain).len(),
+                2 * keys.len()
+            );
+            assert_eq!(fold_both_ways(Vec::new(), &rows, certain).len(), 1);
+        }
     }
 
     #[test]

@@ -62,21 +62,6 @@ impl GroupEntry {
             None => Value::Null,
         }
     }
-
-    /// Scaled finite trial values of column `c`.
-    pub fn scaled_trials(&self, c: usize) -> Vec<f64> {
-        let s = self.scale.get(c).copied().unwrap_or(1.0);
-        self.trials
-            .get(c)
-            .map(|tv| {
-                tv.iter()
-                    .copied()
-                    .filter(|x| x.is_finite())
-                    .map(|x| x * s)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
 }
 
 fn scale_value(v: &Value, s: f64) -> Value {

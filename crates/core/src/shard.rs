@@ -1,14 +1,23 @@
-//! Shard-parallel fold fragments: the partition-stable grid, the
-//! self-contained fragment interpreter, and the [`ShardExec`] coordinator
-//! trait.
+//! The aggregate fold: the partition-stable grid, the fold fragment and
+//! its interpreter, and the [`ShardExec`] coordinator trait.
+//!
+//! A vectorizable online AGGREGATE (builtin COUNT/SUM/AVG over bare
+//! columns or literals, no uncertain argument) compiles once into a
+//! [`FoldFragment`]. Every fold of its rows runs the same function,
+//! [`fold_partition`], one grid partition at a time: on the coordinator
+//! thread, on the operator's `parallelism` workers, or on a shard pool
+//! ([`fold_fragment_partition`] loops it over the grid for the pools).
+//! The partials come back as [`PartialGroup`]s and the aggregate turns
+//! them into sketches. Rows with a lineage cell in an argument column
+//! need the registry, so their partition folds row at a time instead.
 //!
 //! The paper's §8 scale-out runs split every mini-batch across worker
-//! nodes and merge partial aggregation state at the coordinator. This
-//! module is the repo's analogue. The load-bearing invariant is
-//! **bit-identity across shard counts**: the published reports of an
-//! N-shard run must equal the single-process run byte for byte. Floating
-//! point addition is not associative, so that only holds if the *merge
-//! tree* is fixed independently of N. Two rules enforce it:
+//! nodes and merge partial aggregation state at the coordinator. The
+//! load-bearing invariant here is **bit-identity across shard counts**:
+//! the published reports of an N-shard run must equal the single-process
+//! run byte for byte. Floating point addition is not associative, so that
+//! only holds if the *merge tree* is fixed independently of N. Two rules
+//! enforce it:
 //!
 //! 1. **Partition grid.** Fold partition boundaries derive only from the
 //!    row count ([`PARTITION_ROWS`]-row slices), never from the shard or
@@ -18,23 +27,16 @@
 //!    merges them in global partition order. `(p0+p1)+(p2+p3)` and
 //!    `((p0+p1)+p2)+p3` differ in float; shipping per-partition keeps the
 //!    tree left-leaning and shard-count-free.
-//!
-//! A fragment describes the vectorizable aggregate sub-plan (builtin
-//! COUNT/SUM/AVG over bare columns or literals — the same eligibility as
-//! the columnar fast path). [`fold_fragment_partition`] interprets it
-//! over one partition using the *same* gather + fold kernels as the
-//! in-process columnar fold, touching each (group, call) slot in row
-//! order, so a shard's partial is bit-identical to the slice of local
-//! state the coordinator would have built itself.
 
 use crate::channel::ORow;
 use crate::trace::{SpanId, Tracer};
-use iolap_engine::EngineError;
+use iolap_engine::{AggCall, AggKind, BuiltinAgg, EngineError, Expr};
 use iolap_relation::kernels::fold::{
     fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted, gather_numeric,
 };
 use iolap_relation::{SelVec, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rows per fold partition. Fixed: the grid depends only on the row
 /// count, so the merge tree — and therefore every float in the published
@@ -61,6 +63,31 @@ pub enum FragKind {
     Avg,
 }
 
+impl FragKind {
+    /// The fragment kind of an aggregate; `None` for every aggregate
+    /// without a vectorized form (MIN/MAX, VAR, COUNT DISTINCT, UDAFs).
+    pub(crate) fn of(kind: &AggKind) -> Option<FragKind> {
+        match kind {
+            AggKind::Builtin(BuiltinAgg::Count) => Some(FragKind::Count),
+            AggKind::Builtin(BuiltinAgg::Sum) => Some(FragKind::Sum),
+            AggKind::Builtin(BuiltinAgg::Avg) => Some(FragKind::Avg),
+            _ => None,
+        }
+    }
+
+    /// Fold one participating row's argument `x` into every bootstrap
+    /// trial slot: `a[t] += m·w[t]·x` (`m·w[t]` for COUNT) and
+    /// `b[t] += m·w[t]`, with `w[t] = 1` for rows without weights.
+    pub(crate) fn fold_trials(self, a: &mut [f64], b: &mut [f64], x: f64, row: &ORow) {
+        match (self, &row.weights) {
+            (FragKind::Count, None) => fold_count_uniform(a, row.mult),
+            (FragKind::Count, Some(ws)) => fold_count_weighted(a, row.mult, ws),
+            (FragKind::Sum | FragKind::Avg, None) => fold_sum_uniform(a, b, x, row.mult),
+            (FragKind::Sum | FragKind::Avg, Some(ws)) => fold_sum_weighted(a, b, x, row.mult, ws),
+        }
+    }
+}
+
 /// Where one fragment call reads its argument from.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FragSrc {
@@ -70,10 +97,10 @@ pub enum FragSrc {
     Lit(Value),
 }
 
-/// A dispatchable aggregate fragment: the part of an online AGGREGATE
-/// plan a shard can execute without the plan tree, the registry, or any
-/// lineage context. Compiled by the aggregate operator from its columnar
-/// fast plan; `None` when the aggregate is not fully vectorizable.
+/// The compiled form of a vectorizable online AGGREGATE: everything the
+/// fold needs without the plan tree, the registry, or any lineage context.
+/// The aggregate operator folds its own grid partitions through it, and
+/// shard pools receive it with the rows they fold.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FoldFragment {
     /// Stable lineage-block id of the owning aggregate (`rel(γ)`, §6.1) —
@@ -87,6 +114,43 @@ pub struct FoldFragment {
     pub srcs: Vec<FragSrc>,
     /// Bootstrap trial count (length of the per-call trial vectors).
     pub trials: usize,
+}
+
+impl FoldFragment {
+    /// Compile an aggregate into a fragment: every call a builtin
+    /// COUNT/SUM/AVG over a bare column or a lineage-free literal, and no
+    /// argument reading uncertain attributes. `None` otherwise; such
+    /// aggregates fold row at a time. `trials` starts at 0 and is set from
+    /// the run's trial count before the first fold.
+    pub(crate) fn compile(
+        agg_id: u32,
+        group_cols: &[usize],
+        aggs: &[AggCall],
+        arg_uncertain: &[bool],
+    ) -> Option<FoldFragment> {
+        if arg_uncertain.iter().any(|b| *b) {
+            return None;
+        }
+        let mut kinds = Vec::with_capacity(aggs.len());
+        let mut srcs = Vec::with_capacity(aggs.len());
+        for call in aggs {
+            kinds.push(FragKind::of(&call.kind)?);
+            srcs.push(match &call.input {
+                Expr::Col(i) => FragSrc::Col(*i),
+                Expr::Lit(v) if !matches!(v, Value::Ref(_) | Value::Pending(_)) => {
+                    FragSrc::Lit(v.clone())
+                }
+                _ => return None,
+            });
+        }
+        Some(FoldFragment {
+            agg_id,
+            group_cols: group_cols.to_vec(),
+            kinds,
+            srcs,
+            trials: 0,
+        })
+    }
 }
 
 /// Main-accumulator state of one call, mirroring the engine accumulators
@@ -237,7 +301,7 @@ pub struct ShardWorkerStats {
 /// A pool of worker shards the aggregate fold can be dispatched to.
 ///
 /// Contract: `fold` partitions `rows` on the [`partition_bounds`] grid,
-/// runs [`fold_fragment_partition`] (or its moral equivalent) on each
+/// runs the fragment interpreter ([`fold_fragment_partition`]) on each
 /// partition, and returns one [`FoldPartial`] per partition — pre-merging
 /// across partitions is forbidden (see the module docs for why). Returns
 /// `Ok(None)` when the rows cannot be shipped (e.g. lineage cells on a
@@ -283,18 +347,10 @@ pub trait ShardExec: Send + Sync {
     }
 }
 
-/// Interpret `frag` over one grid partition of rows.
+/// Interpret `frag` over `rows`, one grid partition at a time; one
+/// [`FoldPartial`] per partition.
 ///
-/// Bit-identical to the in-process columnar fold over the same slice: it
-/// gathers with the same [`gather_numeric`], folds trial vectors with the
-/// same kernels, and applies the same main-accumulator float updates —
-/// all in row order per (group, call) slot. Group-probe mechanics differ
-/// (a generic `Value`-keyed probe instead of the typed single-column
-/// probe) but that cannot move any float: probes only decide *which* slot
-/// a row folds into, and `Value` equality is identical (floats compare by
-/// bit pattern).
-///
-/// Returns `None` — partition not interpretable — when a lineage cell
+/// Returns `None` — rows not interpretable — when a lineage cell
 /// (`Ref`/`Pending`) shows up in an argument column; such rows need
 /// registry access and must fold at the coordinator.
 pub fn fold_fragment_partition(
@@ -304,20 +360,28 @@ pub fn fold_fragment_partition(
 ) -> Option<Vec<FoldPartial>> {
     let mut out = Vec::with_capacity(rows.len().div_ceil(PARTITION_ROWS));
     for (partition, (start, end)) in partition_bounds(rows.len()).enumerate() {
-        let groups = fold_one_partition(frag, &rows[start..end], certain)?;
+        let groups = fold_partition(frag, &rows[start..end], certain)?;
         out.push(FoldPartial { partition, groups });
     }
     Some(out)
 }
 
-fn fold_one_partition(
+/// The aggregate fold: interpret `frag` over one grid partition (at most
+/// [`PARTITION_ROWS`] rows) and return its groups in first-occurrence
+/// order. Every (group, call) slot is updated in row order, with the
+/// float operations of the engine accumulators (`AccState::update`) and
+/// of the row path's trial update ([`FragKind::fold_trials`]), so the
+/// result equals a row-at-a-time fold of the same rows bit for bit.
+///
+/// Returns `None`, before any state is built, when a lineage cell
+/// (`Ref`/`Pending`) shows up in an argument column.
+pub(crate) fn fold_partition(
     frag: &FoldFragment,
     rows: &[ORow],
     certain: bool,
 ) -> Option<Vec<PartialGroup>> {
     let ncalls = frag.srcs.len();
-    // Pass A: gather argument columns (bails before any state mutation
-    // when a lineage cell appears — mirrors the columnar fold).
+    // Pass A: gather argument columns.
     let mut xs: Vec<Vec<f64>> = vec![Vec::new(); ncalls];
     let mut sels: Vec<SelVec> = (0..ncalls)
         .map(|_| SelVec::with_capacity(rows.len()))
@@ -342,44 +406,52 @@ fn fold_one_partition(
             return None;
         }
     }
-    // Pass B: dense group codes in first-occurrence order. Partitions are
-    // at most PARTITION_ROWS rows, so the u32 code domain cannot overflow.
+    // Pass B: dense group codes in first-occurrence order, one probe per
+    // row. Partitions are at most PARTITION_ROWS rows, so the u32 code
+    // domain cannot overflow.
     let mut groups: Vec<PartialGroup> = Vec::new();
     let mut codes: Vec<u32> = Vec::with_capacity(rows.len());
-    let new_group = |key: Vec<Value>| PartialGroup {
-        key,
-        has_certain: certain,
-        calls: frag
-            .kinds
-            .iter()
-            .map(|k| PartialCall {
-                acc: AccState::new(*k),
-                a: vec![0.0; frag.trials],
-                b: vec![0.0; frag.trials],
-            })
-            .collect(),
+    let mut fresh = |key: Vec<Value>| {
+        groups.push(PartialGroup {
+            key,
+            has_certain: certain,
+            calls: frag
+                .kinds
+                .iter()
+                .map(|k| PartialCall {
+                    acc: AccState::new(*k),
+                    a: vec![0.0; frag.trials],
+                    b: vec![0.0; frag.trials],
+                })
+                .collect(),
+        });
+        (groups.len() - 1) as u32
     };
-    if frag.group_cols.is_empty() {
-        if !rows.is_empty() {
-            groups.push(new_group(Vec::new()));
-            codes.resize(rows.len(), 0);
+    match frag.group_cols.as_slice() {
+        // Global aggregate: every row is the one (empty-key) group.
+        [] => {
+            if !rows.is_empty() {
+                fresh(Vec::new());
+                codes.resize(rows.len(), 0);
+            }
         }
-    } else {
-        let mut index: HashMap<Vec<Value>, u32> = HashMap::new();
-        let mut scratch: Vec<Value> = Vec::with_capacity(frag.group_cols.len());
-        for row in rows {
-            scratch.clear();
-            scratch.extend(frag.group_cols.iter().map(|&g| row.values[g].clone()));
-            let code = match index.get(scratch.as_slice()) {
-                Some(&code) => code,
-                None => {
-                    let code = groups.len() as u32;
-                    index.insert(scratch.clone(), code);
-                    groups.push(new_group(scratch.clone()));
-                    code
-                }
-            };
-            codes.push(code);
+        [g] => single_col_codes(rows, *g, &mut codes, |v| fresh(vec![v.clone()])),
+        cols => {
+            let mut index: HashMap<Vec<Value>, u32> = HashMap::new();
+            let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
+            for row in rows {
+                scratch.clear();
+                scratch.extend(cols.iter().map(|&g| row.values[g].clone()));
+                let code = match index.get(scratch.as_slice()) {
+                    Some(&code) => code,
+                    None => {
+                        let code = fresh(scratch.clone());
+                        index.insert(scratch.clone(), code);
+                        code
+                    }
+                };
+                codes.push(code);
+            }
         }
     }
     // Pass C: fold per row by code — main accumulator on every row, trial
@@ -397,53 +469,44 @@ fn fold_one_partition(
             let cur = cursors[c];
             if cur < sels[c].len() && sels[c].get(cur) == i {
                 cursors[c] = cur + 1;
-                let x = xs[c][cur];
-                match (frag.kinds[c], &row.weights) {
-                    (FragKind::Count, None) => fold_count_uniform(&mut call.a, row.mult),
-                    (FragKind::Count, Some(ws)) => fold_count_weighted(&mut call.a, row.mult, ws),
-                    (FragKind::Sum | FragKind::Avg, None) => {
-                        fold_sum_uniform(&mut call.a, &mut call.b, x, row.mult)
-                    }
-                    (FragKind::Sum | FragKind::Avg, Some(ws)) => {
-                        fold_sum_weighted(&mut call.a, &mut call.b, x, row.mult, ws)
-                    }
-                }
+                frag.kinds[c].fold_trials(&mut call.a, &mut call.b, xs[c][cur], row);
             }
         }
     }
     Some(groups)
 }
 
-/// In-process reference pool: folds every partition on the calling
-/// thread. Exists so determinism tests can compare shard topologies
-/// without the server crate; real pools live in `iolap-server::shard`.
-#[derive(Debug, Default)]
-pub struct LocalShardExec {
-    shipped: std::sync::atomic::AtomicU64,
-}
-
-impl ShardExec for LocalShardExec {
-    fn shards(&self) -> usize {
-        1
-    }
-
-    fn fold(
-        &self,
-        frag: &FoldFragment,
-        rows: &[ORow],
-        certain: bool,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let partials = fold_fragment_partition(frag, rows, certain);
-        if let Some(ps) = &partials {
-            let bytes: u64 = ps.iter().map(|p| p.approx_bytes() as u64).sum();
-            self.shipped
-                .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(partials)
-    }
-
-    fn bytes_shipped(&self) -> u64 {
-        self.shipped.load(std::sync::atomic::Ordering::Relaxed)
+/// Group codes for a single-column key, probing by the cell's native
+/// representation (`i64`, float bits, `str`) instead of cloning and
+/// hashing a `Value` per row. Per-variant tables keep `Value` equality:
+/// `Int(1)` and `Float(1.0)` stay apart, and floats (NaN included) group
+/// by bit pattern. `fresh` creates the group for a first occurrence and
+/// returns its code.
+fn single_col_codes(
+    rows: &[ORow],
+    g: usize,
+    codes: &mut Vec<u32>,
+    mut fresh: impl FnMut(&Value) -> u32,
+) {
+    let mut ints: HashMap<i64, u32> = HashMap::new();
+    let mut floats: HashMap<u64, u32> = HashMap::new();
+    let mut strs: HashMap<Arc<str>, u32> = HashMap::new();
+    let mut rest: HashMap<Value, u32> = HashMap::new();
+    for row in rows {
+        let v = &row.values[g];
+        let code = match v {
+            Value::Int(i) => *ints.entry(*i).or_insert_with(|| fresh(v)),
+            Value::Float(f) => *floats.entry(f.to_bits()).or_insert_with(|| fresh(v)),
+            Value::Str(s) => match strs.get(&**s) {
+                Some(&code) => code,
+                None => *strs.entry(s.clone()).or_insert(fresh(v)),
+            },
+            _ => match rest.get(v) {
+                Some(&code) => code,
+                None => *rest.entry(v.clone()).or_insert(fresh(v)),
+            },
+        };
+        codes.push(code);
     }
 }
 
@@ -565,15 +628,5 @@ mod tests {
             .collect();
         assert_eq!(counts, vec![1024.0, 1024.0, 2.0]);
         assert!(partials[0].approx_bytes() > 0);
-    }
-
-    #[test]
-    fn local_exec_counts_shipped_bytes() {
-        let rows = vec![row(vec![Value::Int(1), Value::Float(2.0)], 1.0, None)];
-        let exec = LocalShardExec::default();
-        let out = exec.fold(&frag(), &rows, true).unwrap().unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(exec.bytes_shipped() > 0);
-        assert_eq!(exec.shards(), 1);
     }
 }

@@ -405,12 +405,11 @@ pub fn serve_shard(listener: TcpListener) {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let response = handle_shard_request(&mut state, line.trim());
+                let mut response = handle_shard_request(&mut state, line.trim());
                 state.response_bytes += response.len() as u64;
-                if writer.write_all(response.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
+                // One write per line (see `tcp::handle_conn`).
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
                     break;
                 }
             }
@@ -436,8 +435,11 @@ impl ShardConn {
     /// byte length (response bytes are the shipped partial state).
     fn exchange(&mut self, request: &str) -> Result<String, EngineError> {
         let io_err = |e: std::io::Error| EngineError::Plan(format!("shard connection: {e}"));
-        self.writer.write_all(request.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
+        // One write per line (see `tcp::handle_conn`).
+        let mut frame = String::with_capacity(request.len() + 1);
+        frame.push_str(request);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes()).map_err(io_err)?;
         self.writer.flush().map_err(io_err)?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).map_err(io_err)?;
@@ -701,7 +703,7 @@ impl ShardExec for TcpShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolap_core::{FragKind, FragSrc, LocalShardExec};
+    use iolap_core::{fold_fragment_partition, FragKind, FragSrc};
     use iolap_relation::Value;
     use std::sync::Arc;
 
@@ -740,10 +742,7 @@ mod tests {
     #[test]
     fn thread_pool_partials_match_reference_for_all_shard_counts() {
         let rows = sample_rows(3000); // 3 partitions
-        let reference = LocalShardExec::default()
-            .fold(&frag(), &rows, true)
-            .unwrap()
-            .unwrap();
+        let reference = fold_fragment_partition(&frag(), &rows, true).unwrap();
         for shards in [1, 2, 4, 8] {
             let pool = ThreadShardPool::new(shards);
             let mut got = pool.fold(&frag(), &rows, true).unwrap().unwrap();
@@ -873,10 +872,7 @@ mod tests {
         std::thread::spawn(move || serve_shard(listener));
 
         let rows = sample_rows(2500); // 3 partitions
-        let reference = LocalShardExec::default()
-            .fold(&frag(), &rows, false)
-            .unwrap()
-            .unwrap();
+        let reference = fold_fragment_partition(&frag(), &rows, false).unwrap();
 
         let pool = TcpShardPool::connect(&[addr, addr]).unwrap();
         assert_eq!(pool.shards(), 2);

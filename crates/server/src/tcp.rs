@@ -413,11 +413,11 @@ fn handle_conn(stream: TcpStream, server: Arc<Server>, factory: SubmitFactory) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_request(&server, &factory, &mut sessions, line.trim());
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        let mut response = handle_request(&server, &factory, &mut sessions, line.trim());
+        // One write per line: a separate "\n" write would wait on the
+        // peer's delayed ACK (Nagle) before every response but the first.
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
             break;
         }
     }

@@ -646,7 +646,7 @@ pub fn rows_from_json(v: &JVal) -> Option<Vec<ORow>> {
 
 /// Encode a fold fragment for dispatch: aggregate id, group columns, and
 /// per-call `[kind, srckind, arg]` triples. `None` when a literal argument
-/// carries lineage (cannot happen for compiled fast plans; defensive).
+/// carries lineage (cannot happen for compiled fragments; defensive).
 pub fn frag_json(frag: &FoldFragment) -> Option<String> {
     let mut out = format!("{{\"agg\":{},\"g\":[", frag.agg_id);
     for (i, g) in frag.group_cols.iter().enumerate() {

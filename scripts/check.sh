@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
+echo "== perfbench build (own [workspace]; catches API breaks in the benchmark)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== srclint (source lints, allowlist: scripts/lint-allow.txt)"
 cargo run --release --offline -q -p iolap-analyze --bin srclint
 
