@@ -334,7 +334,7 @@ fn append_oracle(f: &SubmitFactory, query: &str) -> Vec<String> {
         .collect()
 }
 
-/// Run the durability sweep; returns the record and its violation count.
+/// Run the durability sweep; returns its violation count.
 /// `smoke` pins the scale (independent of `IOLAP_SCALE`, like `observe
 /// --smoke`).
 pub fn durability_sweep(scale: &ExpScale, smoke: bool) -> usize {

@@ -317,7 +317,7 @@ fn sweep_cells(smoke: bool) -> Vec<(usize, usize, &'static str)> {
 
 /// Run the serving sweep. `smoke` pins the scale (independent of
 /// `IOLAP_SCALE`, like `trace --smoke`) so the offline gate is fast and
-/// stable. Returns the record plus the violation count.
+/// stable. Returns the violation count.
 pub fn serve_sweep(scale: &ExpScale, smoke: bool) -> usize {
     let scale = if smoke {
         ExpScale {

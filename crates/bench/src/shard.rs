@@ -115,9 +115,9 @@ fn run_with(
     (reports, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run the shards × batch-count sweep; returns the record and its
-/// violation count. `smoke` pins one grid point per axis for the offline
-/// gate; the full sweep covers the crossover region.
+/// Run the shards × batch-count sweep; returns its violation count.
+/// `smoke` pins one grid point per axis for the offline gate; the full
+/// sweep covers the crossover region.
 pub fn shard_sweep(scale: &ExpScale, smoke: bool) -> usize {
     // The sweep wants fold-dominated batches with several grid partitions
     // each, so rows-per-batch must clear a few multiples of

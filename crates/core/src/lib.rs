@@ -41,7 +41,7 @@ pub use driver::{
     install_plan_verifier, BatchReport, DriverError, IolapDriver, ReplayEvent, ResumeOutcome,
 };
 pub use faults::{Fault, FaultInjector, FaultKind, FaultPlan};
-pub use iolap_engine::EngineError;
+pub use iolap_engine::{AvgAcc, CountAcc, EngineError, SumAcc};
 pub use metrics::{Histogram, Metrics, Span};
 pub use ops::{BatchCtx, BatchStats, OnlineOp, ProjMode};
 pub use registry::AggRegistry;

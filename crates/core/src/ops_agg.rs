@@ -779,19 +779,19 @@ fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EngineError {
 }
 
 /// Rebuild a fragment-folded partial group as a [`GroupSketch`] —
-/// lossless: the engine accumulators are reconstructed bit-for-bit via
-/// their `from_state` constructors, so a later [`GroupSketch::merge`] adds
-/// exactly the floats a row-at-a-time fold of the same partition would.
+/// lossless: the partial already holds the engine accumulators (a wire
+/// partial rebuilds them bit-for-bit via `from_state`), so a later
+/// [`GroupSketch::merge`] adds exactly the floats a row-at-a-time fold of
+/// the same partition would.
 fn sketch_from_partial(pg: PartialGroup) -> (Arc<[Value]>, GroupSketch) {
-    use iolap_engine::{AvgAcc, CountAcc, SumAcc};
     let key: Arc<[Value]> = pg.key.into();
     let mut accs = Vec::with_capacity(pg.calls.len());
     let mut trials = Vec::with_capacity(pg.calls.len());
     for call in pg.calls {
         let (acc, kind): (Box<dyn Accumulator>, FragKind) = match call.acc {
-            AccState::Count { n } => (Box::new(CountAcc::from_state(n)), FragKind::Count),
-            AccState::Sum { sum, any } => (Box::new(SumAcc::from_state(sum, any)), FragKind::Sum),
-            AccState::Avg { sum, n } => (Box::new(AvgAcc::from_state(sum, n)), FragKind::Avg),
+            AccState::Count(acc) => (Box::new(acc), FragKind::Count),
+            AccState::Sum(acc) => (Box::new(acc), FragKind::Sum),
+            AccState::Avg(acc) => (Box::new(acc), FragKind::Avg),
         };
         accs.push(AccBox(acc));
         trials.push(TrialState::Fast {

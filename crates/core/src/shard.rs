@@ -30,7 +30,9 @@
 
 use crate::channel::ORow;
 use crate::trace::{SpanId, Tracer};
-use iolap_engine::{AggCall, AggKind, BuiltinAgg, EngineError, Expr};
+use iolap_engine::{
+    Accumulator, AggCall, AggKind, AvgAcc, BuiltinAgg, CountAcc, EngineError, Expr, SumAcc,
+};
 use iolap_relation::kernels::fold::{
     fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted, gather_numeric,
 };
@@ -153,65 +155,33 @@ impl FoldFragment {
     }
 }
 
-/// Main-accumulator state of one call, mirroring the engine accumulators
-/// field for field so the coordinator can rebuild them losslessly
-/// (`CountAcc::from_state` and friends).
+/// Main-accumulator state of one call: the engine accumulator itself,
+/// so the interpreter folds with exactly the float operations of the row
+/// path. The wire ships its `state()` snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AccState {
     /// `COUNT`: Σ weight over non-null inputs.
-    Count {
-        /// Running weighted count.
-        n: f64,
-    },
+    Count(CountAcc),
     /// `SUM`: Σ x·weight plus the saw-any-numeric flag.
-    Sum {
-        /// Running weighted sum.
-        sum: f64,
-        /// Whether any numeric input contributed (NULL vs 0 on output).
-        any: bool,
-    },
+    Sum(SumAcc),
     /// `AVG`: running sum + running count sketch.
-    Avg {
-        /// Running weighted sum.
-        sum: f64,
-        /// Running weighted count.
-        n: f64,
-    },
+    Avg(AvgAcc),
 }
 
 impl AccState {
     fn new(kind: FragKind) -> AccState {
         match kind {
-            FragKind::Count => AccState::Count { n: 0.0 },
-            FragKind::Sum => AccState::Sum {
-                sum: 0.0,
-                any: false,
-            },
-            FragKind::Avg => AccState::Avg { sum: 0.0, n: 0.0 },
+            FragKind::Count => AccState::Count(CountAcc::default()),
+            FragKind::Sum => AccState::Sum(SumAcc::default()),
+            FragKind::Avg => AccState::Avg(AvgAcc::default()),
         }
     }
 
-    /// One row's main-accumulator update — the exact float operations of
-    /// `CountAcc`/`SumAcc`/`AvgAcc::update`, in the same order.
     fn update(&mut self, v: &Value, weight: f64) {
         match self {
-            AccState::Count { n } => {
-                if !v.is_null() {
-                    *n += weight;
-                }
-            }
-            AccState::Sum { sum, any } => {
-                if let Some(x) = v.as_f64() {
-                    *sum += x * weight;
-                    *any = true;
-                }
-            }
-            AccState::Avg { sum, n } => {
-                if let Some(x) = v.as_f64() {
-                    *sum += x * weight;
-                    *n += weight;
-                }
-            }
+            AccState::Count(acc) => acc.update(v, weight),
+            AccState::Sum(acc) => acc.update(v, weight),
+            AccState::Avg(acc) => acc.update(v, weight),
         }
     }
 }
@@ -368,9 +338,8 @@ pub fn fold_fragment_partition(
 
 /// The aggregate fold: interpret `frag` over one grid partition (at most
 /// [`PARTITION_ROWS`] rows) and return its groups in first-occurrence
-/// order. Every (group, call) slot is updated in row order, with the
-/// float operations of the engine accumulators (`AccState::update`) and
-/// of the row path's trial update ([`FragKind::fold_trials`]), so the
+/// order. Every (group, call) slot is updated in row order, through the
+/// engine accumulators and the row path's trial update ([`FragKind::fold_trials`]), so the
 /// result equals a row-at-a-time fold of the same rows bit for bit.
 ///
 /// Returns `None`, before any state is built, when a lineage cell
@@ -560,15 +529,18 @@ mod tests {
         assert_eq!(groups[1].key, vec![Value::str("a")]);
         assert!(groups[0].has_certain);
         // b: count 2, sum 7; a: count 1, sum 3.
-        assert_eq!(groups[0].calls[0].acc, AccState::Count { n: 2.0 });
+        assert_eq!(
+            groups[0].calls[0].acc,
+            AccState::Count(CountAcc::from_state(2.0))
+        );
         assert_eq!(
             groups[0].calls[1].acc,
-            AccState::Sum {
-                sum: 7.0,
-                any: true
-            }
+            AccState::Sum(SumAcc::from_state(7.0, true))
         );
-        assert_eq!(groups[1].calls[2].acc, AccState::Avg { sum: 3.0, n: 1.0 });
+        assert_eq!(
+            groups[1].calls[2].acc,
+            AccState::Avg(AvgAcc::from_state(3.0, 1.0))
+        );
         // Trial vectors: uniform weights fold mult into every slot.
         assert_eq!(groups[0].calls[0].a, vec![2.0, 2.0]);
         assert_eq!(groups[0].calls[1].a, vec![7.0, 7.0]);
@@ -590,7 +562,7 @@ mod tests {
         assert_eq!(g.calls[1].a, vec![0.0, 20.0]);
         assert_eq!(g.calls[1].b, vec![0.0, 2.0]);
         // Main accumulators use mult only (trial weights are resamples).
-        assert_eq!(g.calls[0].acc, AccState::Count { n: 1.0 });
+        assert_eq!(g.calls[0].acc, AccState::Count(CountAcc::from_state(1.0)));
     }
 
     #[test]
@@ -621,8 +593,8 @@ mod tests {
         assert_eq!(partials[2].partition, 2);
         let counts: Vec<f64> = partials
             .iter()
-            .map(|p| match p.groups[0].calls[0].acc {
-                AccState::Count { n } => n,
+            .map(|p| match &p.groups[0].calls[0].acc {
+                AccState::Count(acc) => acc.state(),
                 _ => unreachable!(),
             })
             .collect();

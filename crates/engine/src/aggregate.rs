@@ -96,7 +96,7 @@ macro_rules! impl_acc_boilerplate {
 }
 
 /// `COUNT(expr)` / `COUNT(*)`: Σ weight over non-null inputs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CountAcc {
     n: f64,
 }
@@ -113,6 +113,7 @@ impl CountAcc {
 }
 
 impl Accumulator for CountAcc {
+    #[inline]
     fn update(&mut self, v: &Value, weight: f64) {
         if !v.is_null() {
             self.n += weight;
@@ -130,7 +131,7 @@ impl Accumulator for CountAcc {
 }
 
 /// `SUM(expr)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SumAcc {
     sum: f64,
     any: bool,
@@ -149,6 +150,7 @@ impl SumAcc {
 }
 
 impl Accumulator for SumAcc {
+    #[inline]
     fn update(&mut self, v: &Value, weight: f64) {
         if let Some(x) = v.as_f64() {
             self.sum += x * weight;
@@ -172,7 +174,7 @@ impl Accumulator for SumAcc {
 }
 
 /// `AVG(expr)` — the running sum + running count sketch of §4.2.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AvgAcc {
     sum: f64,
     n: f64,
@@ -190,6 +192,7 @@ impl AvgAcc {
 }
 
 impl Accumulator for AvgAcc {
+    #[inline]
     fn update(&mut self, v: &Value, weight: f64) {
         if let Some(x) = v.as_f64() {
             self.sum += x * weight;

@@ -535,7 +535,8 @@ pub fn value_json(v: &iolap_relation::Value) -> String {
 // `ShardExec::fold`).
 
 use iolap_core::{
-    AccState, FoldFragment, FoldPartial, FragKind, FragSrc, ORow, PartialCall, PartialGroup,
+    AccState, AvgAcc, CountAcc, FoldFragment, FoldPartial, FragKind, FragSrc, ORow, PartialCall,
+    PartialGroup, SumAcc,
 };
 use iolap_relation::Value;
 
@@ -739,19 +740,16 @@ pub fn partial_json(p: &FoldPartial) -> Option<String> {
             }
             out.push_str("{\"acc\":");
             match &c.acc {
-                AccState::Count { n } => {
-                    let _ = write!(out, "[\"c\",\"{}\"]", f64_to_hex(*n));
+                AccState::Count(acc) => {
+                    let _ = write!(out, "[\"c\",\"{}\"]", f64_to_hex(acc.state()));
                 }
-                AccState::Sum { sum, any } => {
-                    let _ = write!(out, "[\"s\",\"{}\",{}]", f64_to_hex(*sum), any);
+                AccState::Sum(acc) => {
+                    let (sum, any) = acc.state();
+                    let _ = write!(out, "[\"s\",\"{}\",{}]", f64_to_hex(sum), any);
                 }
-                AccState::Avg { sum, n } => {
-                    let _ = write!(
-                        out,
-                        "[\"a\",\"{}\",\"{}\"]",
-                        f64_to_hex(*sum),
-                        f64_to_hex(*n)
-                    );
+                AccState::Avg(acc) => {
+                    let (sum, n) = acc.state();
+                    let _ = write!(out, "[\"a\",\"{}\",\"{}\"]", f64_to_hex(sum), f64_to_hex(n));
                 }
             }
             out.push_str(",\"a\":");
@@ -788,17 +786,15 @@ pub fn partial_from_json(v: &JVal) -> Option<FoldPartial> {
                 return None;
             };
             let state = match acc.first()?.as_str()? {
-                "c" => AccState::Count {
-                    n: f64_from_hex(acc.get(1)?.as_str()?)?,
-                },
-                "s" => AccState::Sum {
-                    sum: f64_from_hex(acc.get(1)?.as_str()?)?,
-                    any: acc.get(2)?.as_bool()?,
-                },
-                "a" => AccState::Avg {
-                    sum: f64_from_hex(acc.get(1)?.as_str()?)?,
-                    n: f64_from_hex(acc.get(2)?.as_str()?)?,
-                },
+                "c" => AccState::Count(CountAcc::from_state(f64_from_hex(acc.get(1)?.as_str()?)?)),
+                "s" => AccState::Sum(SumAcc::from_state(
+                    f64_from_hex(acc.get(1)?.as_str()?)?,
+                    acc.get(2)?.as_bool()?,
+                )),
+                "a" => AccState::Avg(AvgAcc::from_state(
+                    f64_from_hex(acc.get(1)?.as_str()?)?,
+                    f64_from_hex(acc.get(2)?.as_str()?)?,
+                )),
                 _ => return None,
             };
             calls.push(PartialCall {
@@ -1154,20 +1150,17 @@ mod tests {
                 has_certain: true,
                 calls: vec![
                     PartialCall {
-                        acc: AccState::Count { n: 5.0 },
+                        acc: AccState::Count(CountAcc::from_state(5.0)),
                         a: vec![4.0, 6.0],
                         b: vec![0.0, 0.0],
                     },
                     PartialCall {
-                        acc: AccState::Sum {
-                            sum: -0.0,
-                            any: false,
-                        },
+                        acc: AccState::Sum(SumAcc::from_state(-0.0, false)),
                         a: vec![1.5, 2.5],
                         b: vec![1.0, 1.0],
                     },
                     PartialCall {
-                        acc: AccState::Avg { sum: 7.0, n: 2.0 },
+                        acc: AccState::Avg(AvgAcc::from_state(7.0, 2.0)),
                         a: vec![],
                         b: vec![],
                     },
@@ -1179,8 +1172,9 @@ mod tests {
         assert_eq!(back, partial);
         // -0.0 survived as a bit pattern (PartialEq would also pass for
         // +0.0 — check the bits explicitly).
-        match back.groups[0].calls[1].acc {
-            AccState::Sum { sum, any } => {
+        match &back.groups[0].calls[1].acc {
+            AccState::Sum(acc) => {
+                let (sum, any) = acc.state();
                 assert_eq!(sum.to_bits(), (-0.0f64).to_bits());
                 assert!(!any);
             }
